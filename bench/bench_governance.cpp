@@ -7,7 +7,7 @@
 //                   poll plus the stop-word allreduce. overhead_pct is the
 //                   wall-time cost of being preemptible at all.
 //   preempt-resume  a timed preempt ~40% in, the partial result round-
-//                   tripped through the checkpoint-v2 serializer, then the
+//                   tripped through the checkpoint serializer, then the
 //                   resume leg. overhead_pct compares the stitched wall time
 //                   (both legs + serialize + load) against baseline — the
 //                   price of an interruption.

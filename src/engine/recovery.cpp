@@ -32,12 +32,13 @@ RunResult run_elastic(Backend& backend, const Scene& scene, const RunConfig& con
     leg = std::max(window, leg - leg % window);
   }
 
+  // The last completed state: the caller's resume (read in place — it
+  // outlives this call, so copying it would only cost time and memory) until
+  // the first leg completes, then `state`. `state_m` guards `last` and
+  // `state` against the watchdog's emergency callback, which reads them from
+  // the monitor thread while the loop thread writes them between legs.
   RunResult state;
-  bool have_state = resume != nullptr;
-  if (resume) state = *resume;
-  // Guards `state`/`have_state` against the watchdog's emergency callback,
-  // which reads them from the monitor thread while the loop thread writes
-  // them between legs.
+  const RunResult* last = resume;
   std::mutex state_m;
 
   // Stuck-run watchdog (engine/governor.hpp): monitors the Progress beacon
@@ -55,7 +56,7 @@ RunResult run_elastic(Backend& backend, const Scene& scene, const RunConfig& con
     if (!config.emergency_checkpoint_path.empty()) {
       wd->set_emergency([&](const ProgressSnapshot&) {
         std::lock_guard<std::mutex> lock(state_m);
-        if (have_state) save_checkpoint(state, config.emergency_checkpoint_path);
+        if (last) save_checkpoint(*last, config.emergency_checkpoint_path);
       });
     }
   }
@@ -68,11 +69,11 @@ RunResult run_elastic(Backend& backend, const Scene& scene, const RunConfig& con
     cfg.photons = n;
     const Clock::time_point t0 = Clock::now();
     try {
-      RunResult r = backend.run(scene, cfg, have_state ? &state : nullptr);
+      RunResult r = backend.run(scene, cfg, last);
       {
         std::lock_guard<std::mutex> lock(state_m);
         state = std::move(r);
-        have_state = true;
+        last = &state;
       }
       done += n;
       ran_any = true;
@@ -106,7 +107,7 @@ RunResult run_elastic(Backend& backend, const Scene& scene, const RunConfig& con
         if (stats) *stats = rec;
         throw;
       }
-      // Rewind: `state` still holds the last completed leg; the loop re-runs
+      // Rewind: `last` still holds the last completed leg; the loop re-runs
       // the open leg from it at the survivor shape. A pure timeout (no
       // deaths) retries at the same shape — the consumed fault plan entries
       // will not re-fire.

@@ -3,7 +3,7 @@
 //
 // run_elastic cuts a run into legs of config.checkpoint_photons photons and
 // holds the last completed leg's RunResult as an in-memory checkpoint (the
-// same object checkpoint v2 serializes). When a leg dies with a WorldFailure
+// same object save_checkpoint serializes). When a leg dies with a WorldFailure
 // — a scripted kill, or the heartbeat detector declaring a rank dead
 // (mp/fault.hpp) — the runner rewinds to that checkpoint, removes the dead
 // ranks from the parallel width (groups for hybrid, workers for the dist

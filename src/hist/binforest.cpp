@@ -1,16 +1,17 @@
 #include "hist/binforest.hpp"
 
-#include <cstring>
-#include <fstream>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 namespace photon {
 
 namespace {
 constexpr std::uint64_t kAnswerMagic = 0x50484F544F4E4146ULL;  // "PHOTONAF"
-}
+constexpr std::size_t kAnswerHeaderBytes =
+    2 * sizeof(std::uint64_t) + sizeof(ChannelCounts) + sizeof(Rgb);
+constexpr std::uint64_t kMaxTrees = 1ULL << 24;
+// A tree record holds at least its header and one node.
+constexpr std::size_t kMinTreeBytes = BinTree::kSerializedHeaderBytes + sizeof(BinNode);
+}  // namespace
 
 BinForest::BinForest(std::size_t n_patches, SplitPolicy policy) {
   trees_.reserve(n_patches * 2);
@@ -70,56 +71,57 @@ std::vector<std::uint64_t> BinForest::patch_tallies() const {
   return out;
 }
 
-void BinForest::save(std::ostream& out) const {
-  out.write(reinterpret_cast<const char*>(&kAnswerMagic), sizeof(kAnswerMagic));
-  const auto n = static_cast<std::uint64_t>(trees_.size());
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  out.write(reinterpret_cast<const char*>(emitted_.data()), sizeof(emitted_));
-  out.write(reinterpret_cast<const char*>(&total_power_), sizeof(total_power_));
+std::size_t BinForest::serialized_bytes() const {
+  std::size_t n = kAnswerHeaderBytes;
+  for (const BinTree& t : trees_) n += t.serialized_bytes();
+  return n;
+}
+
+void BinForest::save(Bytes& out) const {
+  out.reserve(out.size() + serialized_bytes());
+  put_raw(out, kAnswerMagic);
+  put_raw<std::uint64_t>(out, trees_.size());
+  put_raw(out, emitted_);
+  put_raw(out, total_power_);
   for (const BinTree& t : trees_) t.save(out);
 }
 
 bool BinForest::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  save(out);
-  return static_cast<bool>(out);
+  Bytes bytes;
+  save(bytes);
+  return write_file(path, bytes);
 }
 
-BinForest BinForest::load(std::istream& in) {
+BinForest BinForest::load(const std::uint8_t*& p, const std::uint8_t* end) {
   BinForest forest;
-  std::uint64_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (magic != kAnswerMagic) return forest;
-  std::uint64_t n = 0;
-  in.read(reinterpret_cast<char*>(&n), sizeof(n));
-  in.read(reinterpret_cast<char*>(forest.emitted_.data()), sizeof(forest.emitted_));
-  in.read(reinterpret_cast<char*>(&forest.total_power_), sizeof(forest.total_power_));
+  std::uint64_t magic = 0, n = 0;
   // Cap the tree count (two trees per patch; 2^24 exceeds any bundled or
-  // plausible scene) and bail on the first malformed tree: a corrupt file
-  // must come back as the empty forest (tree_count() == 0), not crash. No
-  // up-front reserve — the count is untrusted, and the first bad tree stops
-  // the loop long before growth costs anything.
-  if (!in || n > (1ULL << 24)) return BinForest{};
-  for (std::uint64_t i = 0; i < n; ++i) {
-    forest.trees_.push_back(BinTree::load(in));
-    if (!in) return BinForest{};
+  // plausible scene) and by the smallest records the remaining bytes could
+  // hold, so the reserve below is backed by real input.
+  if (!get_raw(p, end, magic) || magic != kAnswerMagic || !get_raw(p, end, n) ||
+      !get_raw(p, end, forest.emitted_) || !get_raw(p, end, forest.total_power_) ||
+      n > kMaxTrees || n > static_cast<std::size_t>(end - p) / kMinTreeBytes) {
+    return BinForest{};
+  }
+  forest.trees_.reserve(static_cast<std::size_t>(n));
+  try {
+    for (std::uint64_t i = 0; i < n; ++i) forest.trees_.push_back(BinTree::load(p, end));
+  } catch (const std::runtime_error&) {
+    return BinForest{};
   }
   return forest;
 }
 
 bool BinForest::load(const std::string& path, BinForest& forest) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  forest = load(in);
+  Bytes bytes;
+  if (!read_file(path, bytes)) return false;
+  const std::uint8_t* p = bytes.data();
+  forest = load(p, p + bytes.size());
   return forest.tree_count() > 0;
 }
 
 void BinForest::append_framed_tree(Bytes& out, int idx) const {
-  const auto frame_idx = static_cast<std::int32_t>(idx);
-  const std::size_t off = out.size();
-  out.resize(off + sizeof(frame_idx));
-  std::memcpy(out.data() + off, &frame_idx, sizeof(frame_idx));
+  put_raw(out, static_cast<std::int32_t>(idx));
   trees_[static_cast<std::size_t>(idx)].save(out);
 }
 
@@ -127,12 +129,8 @@ void BinForest::replace_framed_trees(const Bytes& buf) {
   const std::uint8_t* p = buf.data();
   const std::uint8_t* const end = p + buf.size();
   while (p != end) {
-    if (static_cast<std::size_t>(end - p) < sizeof(std::int32_t)) {
-      throw std::runtime_error("BinForest: truncated tree frame");
-    }
     std::int32_t idx = 0;
-    std::memcpy(&idx, p, sizeof(idx));
-    p += sizeof(idx);
+    if (!get_raw(p, end, idx)) throw std::runtime_error("BinForest: truncated tree frame");
     if (idx < 0 || static_cast<std::size_t>(idx) >= trees_.size()) {
       throw std::runtime_error("BinForest: tree frame index out of range");
     }

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -65,10 +64,17 @@ class BinForest {
   // measure used by the bin-packing balancer.
   std::vector<std::uint64_t> patch_tallies() const;
 
-  // Answer-file (de)serialization.
-  void save(std::ostream& out) const;
+  // Answer-file (de)serialization: [magic "PHOTONAF"][u64 tree count]
+  // [emission counts][total power][each BinTree record]. save appends the
+  // file's bytes to `out`, reserving serialized_bytes() once; load parses
+  // them from [p, end), advancing `p`, and returns the empty forest
+  // (tree_count() == 0) for anything malformed.
+  std::size_t serialized_bytes() const;
+  void save(Bytes& out) const;
+  static BinForest load(const std::uint8_t*& p, const std::uint8_t* end);
+  // Whole-file forms; save is true only when the write and the close both
+  // succeeded.
   bool save(const std::string& path) const;
-  static BinForest load(std::istream& in);
   static bool load(const std::string& path, BinForest& forest);
 
   // Replaces tree `idx` (used when gathering distributed results).

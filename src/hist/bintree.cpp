@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 namespace photon {
@@ -162,21 +160,7 @@ std::uint64_t BinTree::memory_bytes() const {
   return nodes_.capacity() * sizeof(BinNode) + sizeof(BinTree);
 }
 
-void BinTree::save(std::ostream& out) const {
-  const auto n = static_cast<std::uint64_t>(nodes_.size());
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  out.write(reinterpret_cast<const char*>(&policy_.z), sizeof(policy_.z));
-  out.write(reinterpret_cast<const char*>(&policy_.min_count), sizeof(policy_.min_count));
-  out.write(reinterpret_cast<const char*>(nodes_.data()),
-            static_cast<std::streamsize>(n * sizeof(BinNode)));
-}
-
 namespace {
-
-// Hard cap on serialized node counts: well above any tree the recorder can
-// grow (max_nodes defaults to 2^22) and small enough that a corrupt count
-// cannot force a giant allocation before validation rejects it.
-constexpr std::uint64_t kMaxSerializedNodes = 1ULL << 26;
 
 // Structural sanity of a deserialized node array: children must point
 // strictly forward (construction appends daughters after their parent, so
@@ -199,76 +183,21 @@ bool nodes_are_sane(const std::vector<BinNode>& nodes) {
 
 }  // namespace
 
-BinTree BinTree::load(std::istream& in) {
-  BinTree tree;
-  std::uint64_t n = 0;
-  in.read(reinterpret_cast<char*>(&n), sizeof(n));
-  in.read(reinterpret_cast<char*>(&tree.policy_.z), sizeof(tree.policy_.z));
-  in.read(reinterpret_cast<char*>(&tree.policy_.min_count), sizeof(tree.policy_.min_count));
-  if (!in || n == 0 || n > kMaxSerializedNodes) {
-    in.setstate(std::ios::failbit);
-    return BinTree{};
-  }
-  // Chunked read: the count is untrusted, so a corrupt value must hit the
-  // short-read check after at most one ~5 MB chunk of over-allocation — not
-  // commit gigabytes up front.
-  constexpr std::uint64_t kChunkNodes = 1ULL << 16;
-  for (std::uint64_t got = 0; got < n; ) {
-    const std::uint64_t take = std::min(kChunkNodes, n - got);
-    tree.nodes_.resize(static_cast<std::size_t>(got + take));
-    in.read(reinterpret_cast<char*>(tree.nodes_.data() + got),
-            static_cast<std::streamsize>(take * sizeof(BinNode)));
-    if (static_cast<std::uint64_t>(in.gcount()) != take * sizeof(BinNode)) {
-      in.setstate(std::ios::failbit);
-      return BinTree{};
-    }
-    got += take;
-  }
-  if (!in || !nodes_are_sane(tree.nodes_)) {
-    in.setstate(std::ios::failbit);
-    return BinTree{};
-  }
-  return tree;
-}
-
-namespace {
-
-template <typename T>
-void append_raw(Bytes& out, const T& v) {
-  const std::size_t off = out.size();
-  out.resize(off + sizeof(T));
-  std::memcpy(out.data() + off, &v, sizeof(T));
-}
-
-template <typename T>
-T read_raw(const std::uint8_t*& p, const std::uint8_t* end) {
-  if (static_cast<std::size_t>(end - p) < sizeof(T)) {
-    throw std::runtime_error("BinTree: truncated byte buffer");
-  }
-  T v;
-  std::memcpy(&v, p, sizeof(T));
-  p += sizeof(T);
-  return v;
-}
-
-}  // namespace
-
 void BinTree::save(Bytes& out) const {
-  // Same layout as the stream form: count, policy scalars, raw node array.
-  append_raw<std::uint64_t>(out, nodes_.size());
-  append_raw(out, policy_.z);
-  append_raw(out, policy_.min_count);
-  const std::size_t off = out.size();
-  out.resize(off + nodes_.size() * sizeof(BinNode));
-  std::memcpy(out.data() + off, nodes_.data(), nodes_.size() * sizeof(BinNode));
+  put_raw<std::uint64_t>(out, nodes_.size());
+  put_raw(out, policy_.z);
+  put_raw(out, policy_.min_count);
+  put_bytes(out, nodes_.data(), nodes_.size() * sizeof(BinNode));
 }
 
 BinTree BinTree::load(const std::uint8_t*& p, const std::uint8_t* end) {
   BinTree tree;
-  const auto n = read_raw<std::uint64_t>(p, end);
-  tree.policy_.z = read_raw<double>(p, end);
-  tree.policy_.min_count = read_raw<std::uint64_t>(p, end);
-  if (n == 0 || n > static_cast<std::size_t>(end - p) / sizeof(BinNode)) {
+  std::uint64_t n = 0;
+  // The count is untrusted: bounding it by the bytes actually present keeps
+  // a corrupt value from forcing an allocation the buffer cannot back.
+  if (!get_raw(p, end, n) || !get_raw(p, end, tree.policy_.z) ||
+      !get_raw(p, end, tree.policy_.min_count) || n == 0 ||
+      n > static_cast<std::size_t>(end - p) / sizeof(BinNode)) {
     throw std::runtime_error("BinTree: truncated byte buffer");
   }
   tree.nodes_.resize(n);

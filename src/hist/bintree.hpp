@@ -10,15 +10,13 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
+#include "core/bytes.hpp"
 #include "core/stats.hpp"
 #include "hist/bin.hpp"
 
 namespace photon {
-
-using Bytes = std::vector<std::uint8_t>;
 
 class BinTree {
  public:
@@ -50,16 +48,18 @@ class BinTree {
 
   const SplitPolicy& policy() const { return policy_; }
 
-  // Binary (de)serialization; format is private to BinForest answer files.
-  void save(std::ostream& out) const;
-  static BinTree load(std::istream& in);
-
-  // Same binary format, but appended to / consumed from a raw byte buffer —
-  // the distributed gather path frames trees this way so a rank's owned trees
-  // go on the wire without any std::ostringstream/std::string staging.
+  // Binary (de)serialization — [u64 node count][policy z][policy min_count]
+  // [raw node array] — appended to / consumed from a byte buffer. It is the
+  // per-tree record of BinForest answer files (and so of checkpoints), and the
+  // distributed gather frames trees the same way.
+  static constexpr std::size_t kSerializedHeaderBytes =
+      2 * sizeof(std::uint64_t) + sizeof(double);
+  std::size_t serialized_bytes() const {
+    return kSerializedHeaderBytes + nodes_.size() * sizeof(BinNode);
+  }
   void save(Bytes& out) const;
-  // Advances `p` past the consumed frame; throws std::runtime_error on a
-  // truncated buffer.
+  // Advances `p` past the consumed record; throws std::runtime_error on a
+  // truncated buffer or a malformed node array.
   static BinTree load(const std::uint8_t*& p, const std::uint8_t* end);
 
   // Additive fold of `other` into this tree (the distributed-resume

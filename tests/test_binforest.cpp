@@ -4,7 +4,6 @@
 
 #include <array>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/rng.hpp"
@@ -139,9 +138,12 @@ TEST(BinForest, SaveLoadRoundTrip) {
   f.add_emitted(1, 600);
   f.add_emitted(2, 500);
 
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  Bytes buf;
   f.save(buf);
-  const BinForest loaded = BinForest::load(buf);
+  EXPECT_EQ(buf.size(), f.serialized_bytes());
+  const std::uint8_t* p = buf.data();
+  const BinForest loaded = BinForest::load(p, p + buf.size());
+  EXPECT_EQ(p, buf.data() + buf.size());
   EXPECT_TRUE(f == loaded);
   EXPECT_EQ(loaded.emitted(1), 600u);
   EXPECT_EQ(loaded.total_power().b, 3.0);
@@ -159,11 +161,28 @@ TEST(BinForest, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
+// The write error of a buffered tail surfaces only when the file is closed:
+// /dev/full accepts the open and the (buffered) write of a small forest.
+TEST(BinForest, SaveReportsWriteErrors) {
+  EXPECT_FALSE(BinForest(3).save("/dev/full"));
+  EXPECT_FALSE(BinForest(3).save("/nonexistent_zzz/forest.answer"));
+}
+
 TEST(BinForest, LoadRejectsGarbage) {
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  buf << "this is not an answer file";
-  const BinForest loaded = BinForest::load(buf);
-  EXPECT_EQ(loaded.tree_count(), 0u);
+  const std::string text = "this is not an answer file";
+  const Bytes garbage(text.begin(), text.end());
+  const std::uint8_t* p = garbage.data();
+  EXPECT_EQ(BinForest::load(p, p + garbage.size()).tree_count(), 0u);
+
+  // Every truncation of a valid answer file comes back as the empty forest.
+  BinForest f(2);
+  f.record(1, false, coords(0.5, 0.5, 0.5, 1), 2);
+  Bytes valid;
+  f.save(valid);
+  for (std::size_t n = 0; n < valid.size(); ++n) {
+    p = valid.data();
+    EXPECT_EQ(BinForest::load(p, p + n).tree_count(), 0u) << "truncated at " << n;
+  }
 }
 
 TEST(BinForest, ReplaceTree) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "core/rng.hpp"
 #include "core/sampling.hpp"
@@ -268,9 +267,12 @@ TEST(BinTree, SerializationRoundTrip) {
                        rng.uniform() * kTwoPi),
                 static_cast<int>(rng.uniform_int(3)));
   }
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  Bytes buf;
   tree.save(buf);
-  const BinTree loaded = BinTree::load(buf);
+  EXPECT_EQ(buf.size(), tree.serialized_bytes());
+  const std::uint8_t* p = buf.data();
+  const BinTree loaded = BinTree::load(p, p + buf.size());
+  EXPECT_EQ(p, buf.data() + buf.size());
   EXPECT_TRUE(tree == loaded);
   EXPECT_EQ(tree.node_count(), loaded.node_count());
   EXPECT_EQ(tree.total_tally(1), loaded.total_tally(1));

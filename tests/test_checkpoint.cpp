@@ -100,7 +100,7 @@ TEST(Checkpoint, RejectsMissingFile) {
 }
 
 TEST(Checkpoint, RoundTripsPerRankRngState) {
-  // Format v2 carries each rank's generator state — what dist-particle's
+  // The format carries each rank's generator state — what dist-particle's
   // bitwise resume restores (the resume itself is pinned in test_dist).
   const Scene s = scenes::cornell_box();
   RunConfig cfg;
@@ -186,19 +186,18 @@ TEST(CheckpointFuzz, RandomNoiseNeverLoads) {
   }
 }
 
+// The checksum is XXH64 (seed 0) exactly: pinned to the published vectors.
+// The 39-byte input runs one 32-byte stripe, then the 4- and 1-byte tails.
+TEST(CheckpointChecksum, MatchesPublishedXxh64Vectors) {
+  EXPECT_EQ(xxh64("", 0), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(xxh64("abc", 3), 0x44BC2CF5AD770999ULL);
+  const std::string text = "Nobody inspects the spammish repetition";
+  ASSERT_EQ(text.size(), 39u);
+  EXPECT_EQ(xxh64(text.data(), text.size()), 0xFBCEA83C8A378BF1ULL);
+}
+
 // --- Typed rejection statuses: photon_cli prints WHICH check a refused
 // checkpoint failed, so every distinct failure must map to its own status.
-
-// FNV-1a-64 over the payload — mirrors the loader so tests can re-seal a
-// deliberately edited payload.
-std::uint64_t fnv64(const char* data, std::size_t n) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 void put_u64(std::string& bytes, std::size_t at, std::uint64_t v) {
   std::memcpy(&bytes[at], &v, sizeof(v));
@@ -215,7 +214,7 @@ std::uint64_t get_u64(const std::string& bytes, std::size_t at) {
 void reseal(std::string& bytes) {
   const std::uint64_t length = get_u64(bytes, 8);
   put_u64(bytes, 16 + static_cast<std::size_t>(length),
-          fnv64(bytes.data() + 16, static_cast<std::size_t>(length)));
+          xxh64(bytes.data() + 16, static_cast<std::size_t>(length)));
 }
 
 CheckpointStatus status_of(const std::string& bytes) {
@@ -237,6 +236,11 @@ TEST(CheckpointStatusTest, ReportsEachDistinctFailure) {
   std::string v1 = valid;
   put_u64(v1, 0, 0x50484F544F4E434BULL);
   EXPECT_EQ(status_of(v1), CheckpointStatus::kOldVersion);
+
+  // v2 magic ("PHOTNCK2", FNV-1a-64 checksum): superseded, not garbage.
+  std::string v2 = valid;
+  put_u64(v2, 0, 0x50484F544E434B32ULL);
+  EXPECT_EQ(status_of(v2), CheckpointStatus::kOldVersion);
 
   std::string bad_length = valid;
   put_u64(bad_length, 8, (1ULL << 33) + 1);  // over the 8 GiB payload cap
@@ -274,6 +278,17 @@ TEST(CheckpointStatusTest, ReportsEachDistinctFailure) {
   RunResult r;
   EXPECT_EQ(load_checkpoint_status("/nonexistent_zzz/photon.ck", r),
             CheckpointStatus::kOpenFailed);
+
+  // The path loader reads the file whole: a length field under the 8 GiB
+  // cap but past the end of the file is a truncation, found without
+  // allocating what the field claims.
+  std::string long_length = valid;
+  put_u64(long_length, 8, 1ULL << 32);
+  EXPECT_EQ(status_of(long_length), CheckpointStatus::kTruncated);
+  const std::string path = ::testing::TempDir() + "/long_length.ck";
+  { std::ofstream(path, std::ios::binary) << long_length; }
+  EXPECT_EQ(load_checkpoint_status(path, r), CheckpointStatus::kTruncated);
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointStatusTest, NamesAreStable) {

@@ -282,7 +282,7 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ConformanceTest,
                          });
 
 // --- Elastic resume across a CHANGED shape: checkpoint at width P0, resume
-// at width P1 through the v2 byte-format round-trip. Conservation holds for
+// at width P1 through the checkpoint byte-format round-trip. Conservation holds for
 // every (P0, P1) cell; bitwise equality where the RNG scheme is
 // shape-invariant — hybrid everywhere (per-photon streams), dist-particle
 // only at an unchanged width with aligned batches (its leapfrog streams are
@@ -310,7 +310,7 @@ TEST_P(ElasticResumeTest, CheckpointAtOneWidthResumesAtAnother) {
         leg2.batch = 100;
         const RunResult first = run_named(backend, *cell.scene, leg1);
 
-        // Through the v2 byte format, not just the in-memory object: this is
+        // Through the checkpoint byte format, not just the in-memory object: this is
         // the rank/group-count elasticity photon_cli's --resume exercises.
         std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
         save_checkpoint(first, buf);

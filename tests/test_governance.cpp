@@ -285,7 +285,7 @@ TEST(Governance, SpatialPreemptResumeConservesAtWidth2) {
 
 TEST(Governance, PreemptedResultRoundTripsThroughACheckpoint) {
   // The partial result is not just resumable in memory: it must survive the
-  // checkpoint-v2 serialization and resume bitwise from the loaded copy.
+  // checkpoint byte format and resume bitwise from the loaded copy.
   const auto backend = make_backend("serial");
   RunConfig cfg = gov_config();
   cfg.governed = true;
@@ -526,6 +526,36 @@ TEST(Watchdog, EmergencyCheckpointHoldsTheLastCompletedLeg) {
   RunResult loaded;
   ASSERT_EQ(load_checkpoint_status(path, loaded), CheckpointStatus::kOk);
   EXPECT_EQ(loaded.counters.emitted, 600u);
+  std::remove(path.c_str());
+  Progress::instance().reset();
+}
+
+TEST(Watchdog, EmergencyCheckpointOfAResumedRunIsTheCallersResume) {
+  // Wedge in the first leg of a resumed run (delay the first 0->1 record
+  // delivery): no leg has completed, so the emergency checkpoint must hold
+  // exactly the caller's resume, which run_elastic reads in place.
+  Progress::instance().reset();
+  const std::string path = testing::TempDir() + "photon_emergency_resume.ckpt";
+  std::remove(path.c_str());
+  const auto backend = make_backend("hybrid");
+  RunConfig first = gov_config();
+  first.photons = 600;
+  const RunResult resume = backend->run(small_scene(), first, nullptr);
+  ASSERT_EQ(resume.counters.emitted, 600u);
+
+  RunConfig cfg = gov_config();
+  cfg.checkpoint_photons = 600;
+  auto plan = std::make_shared<FaultPlan>();
+  plan->add_delay({0, 1, 0, 0, 60.0});
+  cfg.fault_plan = plan;
+  cfg.watchdog_s = 0.25;
+  cfg.watchdog_grace_s = 0.15;
+  cfg.emergency_checkpoint_path = path;
+  EXPECT_THROW((void)run_elastic(*backend, small_scene(), cfg, &resume), WedgedError);
+  RunResult loaded;
+  ASSERT_EQ(load_checkpoint_status(path, loaded), CheckpointStatus::kOk);
+  EXPECT_EQ(loaded.counters.emitted, resume.counters.emitted);
+  EXPECT_TRUE(loaded.forest == resume.forest);
   std::remove(path.c_str());
   Progress::instance().reset();
 }
@@ -797,17 +827,22 @@ TEST(CliGovernance, SigtermResumeIsBitwise) {
   const std::string dir = testing::TempDir();
   for (const std::string bk : {"serial", "shared", "hybrid"}) {
     const std::string ref = dir + "gov_ref_" + bk + ".bin";
+    const std::string ref_ckpt = dir + "gov_ref_" + bk + ".ckpt";
     const std::string ans = dir + "gov_ans_" + bk + ".bin";
     const std::string ckpt = dir + "gov_" + bk + ".ckpt";
-    std::remove(ans.c_str());
-    std::remove(ckpt.c_str());
+    // The CLI adopts any checkpoint at its --checkpoint path: without this a
+    // file left by an earlier process would turn the reference into a resume.
+    const auto remove_files = [&] {
+      for (const std::string& f : {ref, ref_ckpt, ans, ckpt}) std::remove(f.c_str());
+    };
+    remove_files();
     const std::vector<std::string> common = {
         "simulate", "cornell", ans,           "--backend=" + bk,  "--photons=4000000",
         "--batch=50000",       "--workers=2", "--groups=2",       "--seed=99",
         "--checkpoint=" + ckpt};
     std::vector<std::string> ref_args = common;
     ref_args[2] = ref;
-    ref_args.back() = "--checkpoint=" + dir + "gov_ref_" + bk + ".ckpt";
+    ref_args.back() = "--checkpoint=" + ref_ckpt;
     ASSERT_EQ(run_cli(ref_args), 0) << bk;
 
     const int first = run_cli(common, 250, SIGTERM);
@@ -824,6 +859,7 @@ TEST(CliGovernance, SigtermResumeIsBitwise) {
       ASSERT_EQ(run_cli(common), 0) << bk << ": resume failed";
     }
     EXPECT_TRUE(files_equal(ref, ans)) << bk << ": resumed answer not bitwise-equal";
+    remove_files();
   }
 }
 
