@@ -5,7 +5,8 @@
 // work and the forest are decomposed:
 //
 //   serial        one thread, the paper's "best serial version" baseline
-//   shared        shared-memory forall loop with per-tree locks (Fig 5.2)
+//   shared        shared-memory forall loop over pool chunks, each window's
+//                 records drained per tree on the pool, no locks (Fig 5.2)
 //   dist-particle replicated geometry, partitioned forest, batched
 //                 all-to-all record exchange (Fig 5.3)
 //   dist-spatial  partitioned geometry; photons migrate between region

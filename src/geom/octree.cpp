@@ -21,34 +21,63 @@ struct TempNode {
   bool leaf = true;
 };
 
-// Partition items into octants by bounding-box overlap; a patch may appear
-// in several children (duplicated references, not duplicated geometry).
-// Each child's stored box is tightened to the union of its items' bounds
-// clipped against the octant: every hit point a subtree is responsible for
-// lies inside some assigned patch's bounds AND inside the octant, so the
-// shrunken box still encloses all of them while the slab test culls the
-// octant's empty space (walls and furniture leave most of a room empty).
-// Returns false when every child would hold every item (e.g. a large patch
-// spanning the node) — subdividing further only multiplies work.
+// Octants (bit a set = upper half on axis a) that take a patch with bounds
+// `pb` at midpoint `c`. Per axis, the upper half takes it iff pb.hi > c and
+// the lower half iff pb.lo < c || pb.hi <= c: a patch crossing the midplane
+// goes to both halves, one touching it or lying in it to exactly one. (A
+// closed-box overlap test sends those to both halves too: a tile whose edge
+// is the midplane, and every item of a coplanar node, whose flat box splits
+// into two identical halves, so its references doubled at every level.)
+unsigned octants_reached(const Aabb& pb, const Vec3& c) {
+  constexpr std::array<unsigned, 3> kUpperHalf{0xAAu, 0xCCu, 0xF0u};
+  unsigned mask = 0xFFu;
+  for (int a = 0; a < 3; ++a) {
+    if (pb.hi[a] <= c[a]) {
+      mask &= ~kUpperHalf[static_cast<std::size_t>(a)];
+    } else if (pb.lo[a] >= c[a]) {
+      mask &= kUpperHalf[static_cast<std::size_t>(a)];
+    }
+  }
+  return mask;
+}
+
+// Partition items into octants by octants_reached; a patch crossing a
+// midplane appears in several children (duplicated references, not
+// duplicated geometry). Each child's stored box is tightened to the union of
+// its items' bounds clipped against the octant, which culls the octant's
+// empty space (walls and furniture leave most of a room empty) and keeps
+// pruning sound: a point p of a patch inside the node's box lies on each
+// axis in a closed half that takes the patch (p < c implies pb.lo < c,
+// p > c implies pb.hi > c, and p == c is in both closed halves), so p is
+// inside the box of a child holding the patch. Returns false when two or
+// more children would each hold every item and the rest none (a large patch
+// spanning the node, or coplanar patches stacked over its centre) —
+// subdividing further only multiplies work. A single child holding every
+// item still subdivides: its box is the tighter one.
 bool partition_octants(std::span<const Patch> patches, const Aabb& box,
                        const std::vector<std::int32_t>& items,
                        std::array<std::vector<std::int32_t>, 8>& child_items,
                        std::array<Aabb, 8>& tight_boxes) {
+  const Vec3 c = box.center();
   std::array<Aabb, 8> child_boxes;
   for (int o = 0; o < 8; ++o) child_boxes[o] = box.octant(o);
   for (const std::int32_t item : items) {
     const Aabb pb = patches[static_cast<std::size_t>(item)].bounds();
+    const unsigned reached = octants_reached(pb, c);
     for (int o = 0; o < 8; ++o) {
-      if (child_boxes[o].overlaps(pb)) {
+      if (reached & (1u << o)) {
         child_items[o].push_back(item);
         tight_boxes[o].expand(Aabb{max(pb.lo, child_boxes[o].lo), min(pb.hi, child_boxes[o].hi)});
       }
     }
   }
+  int holding_all = 0;
   for (int o = 0; o < 8; ++o) {
+    if (child_items[o].empty()) continue;
     if (child_items[o].size() < items.size()) return true;
+    ++holding_all;
   }
-  return false;
+  return holding_all == 1;
 }
 
 std::int32_t build_temp(std::span<const Patch> patches, std::vector<TempNode>& temp,

@@ -77,8 +77,8 @@ class Octree final : public AccelStructure {
   const Aabb& bounds() const override { return bounds_; }
   std::size_t node_count() const override { return nodes_.size(); }
   int depth() const override { return depth_; }
-  // Total patch references across all leaves (a patch overlapping several
-  // octants is referenced once per leaf).
+  // Total patch references across all leaves (a patch crossing an octant
+  // midplane is referenced once per leaf it reaches).
   std::size_t item_ref_count() const override { return item_ids_.size(); }
   // Total SoA lanes including the per-leaf padding to the kernel lane width.
   std::size_t lane_count() const override { return soa_.size(); }

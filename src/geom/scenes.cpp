@@ -1,6 +1,8 @@
 #include "geom/scenes.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <stdexcept>
 
 namespace photon::scenes {
@@ -53,6 +55,23 @@ void box(Scene& s, const Vec3& lo, const Vec3& hi, int mat, bool inward = false,
 Material two_sided(Material m) {
   m.two_sided = true;
   return m;
+}
+
+// Tessellates the parallelogram origin + a*ea + b*eb, (a, b) in [0,1]^2, into
+// na x nb tiles facing cross(ea, eb). Corners shared by neighbouring tiles
+// come from the same i/n fractions, so the tiles meet edge to edge.
+void tessellate(Scene& s, const Vec3& origin, const Vec3& ea, const Vec3& eb, int na, int nb,
+                int mat) {
+  for (int i = 0; i < na; ++i) {
+    const double a0 = static_cast<double>(i) / na;
+    const double a1 = static_cast<double>(i + 1) / na;
+    for (int j = 0; j < nb; ++j) {
+      const double b0 = static_cast<double>(j) / nb;
+      const double b1 = static_cast<double>(j + 1) / nb;
+      const Vec3 p = origin + ea * a0 + eb * b0;
+      s.add_patch(Patch(p, origin + ea * a1 + eb * b0 - p, origin + ea * a0 + eb * b1 - p, mat));
+    }
+  }
 }
 
 }  // namespace
@@ -343,6 +362,29 @@ Scene occluder_scene(double occluder_height, double occluder_half, double angula
   const double lh = 6.0;
   const int light = s.add_patch(Patch({-3.0, lh, -3.0}, {6.0, 0, 0}, {0, 0, 6.0}, light_mat));
   s.add_luminaire(light, {}, angular_scale);
+  s.build();
+  return s;
+}
+
+Scene tessellated_room(double width, double height, double depth, double tile) {
+  Scene s;
+  s.set_name("tessellated_room");
+  const int white = s.add_material(Material::lambertian({0.7, 0.7, 0.7}));
+  const int light_mat = s.add_material(Material::emitter({10.0, 10.0, 10.0}));
+  const auto tiles = [tile](double extent) {
+    return std::max(1, static_cast<int>(std::lround(extent / tile)));
+  };
+  const int nx = tiles(width), ny = tiles(height), nz = tiles(depth);
+  const Vec3 o{0, 0, 0}, w{width, 0, 0}, h{0, height, 0}, d{0, 0, depth};
+  tessellate(s, o, d, w, nz, nx, white);  // floor, +y
+  tessellate(s, h, w, d, nx, nz, white);  // ceiling, -y
+  tessellate(s, o, h, d, ny, nz, white);  // x = 0, +x
+  tessellate(s, w, d, h, nz, ny, white);  // x = width, -x
+  tessellate(s, o, w, h, nx, ny, white);  // z = 0, +z
+  tessellate(s, d, h, w, ny, nx, white);  // z = depth, -z
+  const int light = s.add_patch(Patch({width / 2 - 0.25, height - 0.01, depth / 2 - 0.25},
+                                      {0.5, 0, 0}, {0, 0, 0.5}, light_mat));
+  s.add_luminaire(light);
   s.build();
   return s;
 }

@@ -47,6 +47,14 @@ Scene floor_and_light(double size = 4.0, double height = 2.0);
 Scene occluder_scene(double occluder_height, double occluder_half = 0.5,
                      double angular_scale = 0.05);
 
+// Closed width x height x depth room (y up) whose six walls are tessellated
+// into square tiles of side `tile` facing inward, lit by a small luminaire
+// hung just below the ceiling's centre. The defaults make 2880 tiles. Tiles
+// meet edge to edge and whole walls are coplanar, the shape of the large
+// architectural models an acceleration structure must not duplicate.
+Scene tessellated_room(double width = 8.0, double height = 3.0, double depth = 6.0,
+                       double tile = 0.25);
+
 // Two parallel unit patches facing each other at distance `gap`; the lower
 // one emits. Direct-transfer test with a known analytic form factor.
 Scene parallel_plates(double gap);

@@ -12,8 +12,8 @@ namespace photon {
 namespace {
 
 // Chunk-private record buffer: one per chunk, filled in trace order by
-// whichever worker claims the chunk, drained on the coordinating thread in
-// ascending chunk order — which IS ascending photon-id order.
+// whichever worker claims the chunk, drained per tree in ascending chunk
+// order — which IS ascending photon-id order.
 class BufferSink final : public BinSink {
  public:
   explicit BufferSink(std::vector<BounceRecord>& out) : out_(&out) {}
@@ -89,17 +89,26 @@ RunResult run_shared(const Scene& scene, const RunConfig& config,
         },
         &stats);
 
-    // Ascending-chunk drain == ascending photon-id order: the forest sees
+    // The drain runs on the pool too, as T parts: part k walks the chunks in
+    // ascending order — ascending photon-id order — and applies only the
+    // records of patches with patch % T == k. Every tree therefore sees
     // exactly the record sequence the serial photon-stream reference feeds
-    // it, regardless of which worker traced which chunk when. Tracing never
-    // reads the forest, so no lock is needed anywhere.
-    for (std::uint64_t c = 0; c < chunks; ++c) {
-      std::vector<BounceRecord>& records = chunk_records[static_cast<std::size_t>(c)];
-      for (const BounceRecord& rec : records) {
-        result.forest.record(rec.patch, rec.front, rec.coords, rec.channel);
+    // it, whichever worker traced or drains what when; trees are
+    // independent, so the parts need no lock. Interleaving patch ids (not
+    // contiguous id ranges) spreads luminaires, which are consecutive ids
+    // and carry every emission record, across the parts. The drain's parts
+    // are not the trace's chunk grid, so they stay out of result.pool.
+    const auto parts = static_cast<std::uint32_t>(T);
+    pool.run(parts, T, [&](std::uint64_t part, int) {
+      for (std::uint64_t c = 0; c < chunks; ++c) {
+        for (const BounceRecord& rec : chunk_records[static_cast<std::size_t>(c)]) {
+          if (static_cast<std::uint32_t>(rec.patch) % parts == part) {
+            result.forest.record(rec.patch, rec.front, rec.coords, rec.channel);
+          }
+        }
       }
-      records.clear();
-    }
+    });
+    for (std::vector<BounceRecord>& records : chunk_records) records.clear();
 
     result.pool.chunks += stats.chunks;
     result.pool.steals += stats.steals;

@@ -9,12 +9,15 @@
 //
 // Determinism contract (strictly stronger than the old leapfrog version):
 // every photon draws from its own disjoint RNG block (photon_stream), each
-// chunk traces into a chunk-private record buffer, and buffers drain into
-// the forest in ascending chunk order on the coordinating thread. The
-// populated forest is therefore bitwise identical to the serial
-// photon-stream reference (RunConfig::photon_streams) at EVERY worker
-// count, chunk size, and steal interleaving — pinned by the conformance
-// suite at workers {1, 2, 4, 8} and under forced-steal schedules.
+// chunk traces into a chunk-private record buffer, and after each window
+// the buffers drain into the forest on the pool: T parts, part k applying
+// the records of patches with patch % T == k, each part walking the buffers
+// in ascending chunk order. Every tree thus sees its records in ascending
+// photon-id order, and the populated forest is bitwise identical to the
+// serial photon-stream reference (RunConfig::photon_streams) at EVERY
+// worker count, chunk size, and steal interleaving — pinned by the shared
+// suite at workers {1, 2, 3, 4, 8}, by the conformance suite, and under
+// forced-steal schedules.
 //
 // `config.workers` sets the worker width; `config.batch` windows bound the
 // record-buffer memory; both are scheduling knobs with no effect on the

@@ -3,9 +3,10 @@
 // absorbed (or escapes an open scene).
 //
 // Where the tallies *go* is abstracted behind BinSink: the serial simulator
-// records straight into a BinForest, the shared-memory version goes through
-// per-tree locks, and the distributed version enqueues records owned by other
-// ranks for the batched all-to-all exchange (Fig 5.3).
+// records straight into a BinForest, the shared-memory version into
+// chunk-private buffers drained per tree after each window, and the
+// distributed version enqueues records owned by other ranks for the batched
+// all-to-all exchange (Fig 5.3).
 #pragma once
 
 #include <cstdint>

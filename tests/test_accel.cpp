@@ -35,9 +35,14 @@ std::vector<Patch> random_patch_soup(int n, std::uint64_t seed) {
   return patches;
 }
 
-// (structure kind, bundled scene) matrix.
+// (structure kind, scene) matrix over the bundled scenes plus "room", the
+// tessellated room: thousands of coplanar tiles meeting edge to edge.
 class AccelEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<AccelKind, const char*>> {};
+
+Scene equivalence_scene(const std::string& name) {
+  return name == "room" ? scenes::tessellated_room() : scenes::by_name(name);
+}
 
 std::string accel_param_name(
     const ::testing::TestParamInfo<std::tuple<AccelKind, const char*>>& info) {
@@ -50,7 +55,7 @@ std::string accel_param_name(
 // over its own leaf decomposition, so any divergence means the decomposition
 // dropped a reference or the traversal's front-to-back pruning is unsound.
 TEST_P(AccelEquivalenceTest, MatchesBruteForceBitwiseOnScenes) {
-  Scene scene = scenes::by_name(std::get<1>(GetParam()));
+  Scene scene = equivalence_scene(std::get<1>(GetParam()));
   scene.set_accel(std::get<0>(GetParam()));
   scene.build();
   ASSERT_TRUE(scene.built());
@@ -84,7 +89,7 @@ TEST_P(AccelEquivalenceTest, MatchesBruteForceBitwiseOnScenes) {
 // (root slab miss, DDA segment clipping, per-child slab clipped by the
 // running best, early-out at a confirmed nearest hit) all have to agree.
 TEST_P(AccelEquivalenceTest, MatchesBruteForceOnFuzzedRays) {
-  Scene scene = scenes::by_name(std::get<1>(GetParam()));
+  Scene scene = equivalence_scene(std::get<1>(GetParam()));
   scene.set_accel(std::get<0>(GetParam()));
   scene.build();
 
@@ -121,7 +126,7 @@ TEST_P(AccelEquivalenceTest, MatchesBruteForceOnFuzzedRays) {
 // the seam's work meters (patch tests, cells/nodes visited) feed the bench
 // shootout, so they must be deterministic and meaningful for every kind.
 TEST_P(AccelEquivalenceTest, CountedTraversalAgreesAndPrunes) {
-  Scene scene = scenes::by_name(std::get<1>(GetParam()));
+  Scene scene = equivalence_scene(std::get<1>(GetParam()));
   scene.set_accel(std::get<0>(GetParam()));
   scene.build();
 
@@ -153,7 +158,7 @@ TEST_P(AccelEquivalenceTest, CountedTraversalAgreesAndPrunes) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, AccelEquivalenceTest,
     ::testing::Combine(::testing::Values(AccelKind::kOctree, AccelKind::kBvh, AccelKind::kGrid),
-                       ::testing::Values("cornell", "harpsichord", "lab")),
+                       ::testing::Values("cornell", "harpsichord", "lab", "room")),
     accel_param_name);
 
 // Per-kind behaviors that don't need a scene.

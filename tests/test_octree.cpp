@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -21,6 +22,18 @@ std::vector<Patch> random_patch_soup(int n, std::uint64_t seed) {
     patches.emplace_back(origin, e1, e2, 0);
   }
   return patches;
+}
+
+// n x n tiles covering [0, size]^2 of the y = 0 plane, meeting edge to edge.
+std::vector<Patch> tessellated_floor(int n, double size) {
+  std::vector<Patch> tiles;
+  const double step = size / n;
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      tiles.emplace_back(Vec3{j * step, 0, i * step}, Vec3{0, 0, step}, Vec3{step, 0, 0}, 0);
+    }
+  }
+  return tiles;
 }
 
 Ray random_ray(Lcg48& rng) {
@@ -82,13 +95,20 @@ TEST(Octree, RespectsMaxDepth) {
 
 class OctreeEquivalenceTest : public ::testing::TestWithParam<const char*> {};
 
+// The bundled scenes plus "room": thousands of coplanar tiles whose edges
+// fall on octant midplanes, where the assignment rule decides which child
+// gets a tile that only touches the plane.
+Scene equivalence_scene(const std::string& name) {
+  return name == "room" ? scenes::tessellated_room() : scenes::by_name(name);
+}
+
 // The flattened traversal runs the exact same hit arithmetic as
 // Patch::intersect on its packed per-leaf constants, so against the brute
 // scan the agreement must be bitwise — patch, dist, s, t and front — not
 // merely approximate. Any divergence means the packed copy or the traversal
 // pruning drifted from the reference.
 TEST_P(OctreeEquivalenceTest, MatchesBruteForceBitwiseOnScenes) {
-  const Scene scene = scenes::by_name(GetParam());
+  const Scene scene = equivalence_scene(GetParam());
   Lcg48 rng(999);
   int hits = 0;
   for (int i = 0; i < 1500; ++i) {
@@ -119,7 +139,7 @@ TEST_P(OctreeEquivalenceTest, MatchesBruteForceBitwiseOnScenes) {
 // sweep — the pruning paths (root slab miss, child slab clipped by the
 // running best, early pop-time rejection) all have to agree with brute force.
 TEST_P(OctreeEquivalenceTest, MatchesBruteForceOnFuzzedRays) {
-  const Scene scene = scenes::by_name(GetParam());
+  const Scene scene = equivalence_scene(GetParam());
   const Aabb b = scene.bounds();
   const Vec3 c = b.center();
   const Vec3 e = b.extent();
@@ -148,10 +168,67 @@ TEST_P(OctreeEquivalenceTest, MatchesBruteForceOnFuzzedRays) {
       EXPECT_EQ(fast->front, slow->front) << "ray " << i;
     }
   }
+  // Origins on the floor plane (y = b.lo.y in every scene here), where the
+  // floor's tiles and their midplane-touching edges are, with every other
+  // direction near-grazing to that plane.
+  for (int i = 0; i < 1000; ++i) {
+    const Vec3 origin{b.lo.x + rng.uniform() * e.x, b.lo.y, b.lo.z + rng.uniform() * e.z};
+    Vec3 dir{rng.uniform() * 2 - 1, rng.uniform() * 2 - 1, rng.uniform() * 2 - 1};
+    if (i % 2 == 0) dir.y *= 1e-4;
+    if (dir.length_squared() < 1e-9) continue;
+    const Ray ray(origin, dir.normalized());
+    const auto fast = scene.intersect(ray);
+    const auto slow = scene.intersect_brute(ray);
+    ASSERT_EQ(fast.has_value(), slow.has_value()) << "floor ray " << i;
+    if (fast) {
+      ASSERT_EQ(fast->patch, slow->patch) << "floor ray " << i;
+      EXPECT_EQ(fast->dist, slow->dist) << "floor ray " << i;
+      EXPECT_EQ(fast->s, slow->s) << "floor ray " << i;
+      EXPECT_EQ(fast->t, slow->t) << "floor ray " << i;
+      EXPECT_EQ(fast->front, slow->front) << "floor ray " << i;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Scenes, OctreeEquivalenceTest,
-                         ::testing::Values("cornell", "harpsichord", "lab"));
+                         ::testing::Values("cornell", "harpsichord", "lab", "room"));
+
+TEST(Octree, FlatTessellatedFloorReferencesEachTileOnce) {
+  // Every node's items are coplanar, so every box is flat on y and the flat
+  // axis must send each tile to one half, not both. The floor's midplanes
+  // land on tile edges, so no tile crosses one: each is referenced once.
+  const auto floor = tessellated_floor(32, 8.0);
+  Octree tree;
+  tree.build(floor);
+  EXPECT_GT(tree.depth(), 0);
+  EXPECT_EQ(tree.item_ref_count(), floor.size());
+}
+
+TEST(Octree, TessellatedRoomStaysUnderTwoReferencesPerPatch) {
+  const Scene room = scenes::tessellated_room();
+  ASSERT_GE(room.patch_count(), 2880u);
+  Octree tree;
+  tree.build(room.patches());
+  EXPECT_LE(tree.item_ref_count(), 2 * room.patch_count());
+}
+
+TEST(Octree, CoplanarStackOverTheCentreStaysOneLeaf) {
+  // More items than a leaf holds, all covering the node's centre in one
+  // plane: the flat axis sends them to four octants that each hold all of
+  // them, so subdividing can never separate them and must stop.
+  std::vector<Patch> stack;
+  for (int i = 0; i < 20; ++i) {
+    const double r = 1.0 + 0.1 * i;
+    stack.emplace_back(Vec3{-r, 0, -r}, Vec3{0, 0, 2 * r}, Vec3{2 * r, 0, 0}, 0);
+  }
+  Octree tree;
+  tree.build(stack);
+  EXPECT_EQ(tree.node_count(), 1u);
+  EXPECT_EQ(tree.item_ref_count(), stack.size());
+  const auto hit = tree.intersect(Ray({0.05, 1, 0.05}, {0, -1, 0}));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->patch, 0);
+}
 
 TEST(Octree, MatchesBruteForceOnRandomSoup) {
   const auto patches = random_patch_soup(300, 2024);

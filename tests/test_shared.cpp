@@ -87,7 +87,8 @@ TEST_P(SharedSimTest, BitwiseMatchesSerialPhotonStreamReference) {
   EXPECT_EQ(ref.counters.absorbed, shared.counters.absorbed);
 }
 
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, SharedSimTest, ::testing::Values(1, 2, 4, 8));
+// 3 is the width that is not a power of two: the drain's patch % T parts.
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, SharedSimTest, ::testing::Values(1, 2, 3, 4, 8));
 
 TEST(SharedSim, BitwiseUnderAdversarialStealSchedules) {
   // The forced-steal hook hands every chunk's static home to slot 0 (all
@@ -128,8 +129,8 @@ TEST(SharedSim, SpeedTraceIsPopulated) {
 }
 
 TEST(SharedSim, FurnacePhysicsSurvivesConcurrency) {
-  // The furnace equilibrium must hold regardless of thread count: locks may
-  // reorder tallies but cannot lose photons.
+  // The furnace equilibrium must hold regardless of thread count: the
+  // parallel trace and drain cannot lose photons.
   const double rho = 0.5;
   const Scene s = scenes::furnace_box(rho);
   RunConfig cfg;
