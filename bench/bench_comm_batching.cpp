@@ -32,9 +32,6 @@
 #include "engine/backend.hpp"
 #include "geom/scenes.hpp"
 #include "mp/minimpi.hpp"
-#include "par/dist.hpp"
-#include "par/hybrid.hpp"
-#include "par/spatial.hpp"
 #include "perf/platform.hpp"
 
 using namespace photon;
@@ -125,11 +122,10 @@ Row run_backend(const Scene& scene, const std::string& scene_name,
   } else {
     cfg.workers = P;
   }
+  const auto instance = make_backend(backend);
   Row best;
   for (int rep = 0; rep < reps; ++rep) {
-    const RunResult r = backend == "dist-particle" ? run_distributed(scene, cfg)
-                        : backend == "hybrid"      ? run_hybrid(scene, cfg)
-                                                   : run_spatial(scene, cfg);
+    const RunResult r = instance->run(scene, cfg);
     Row row;
     row.scene = scene_name;
     row.backend = backend;

@@ -151,7 +151,7 @@ TailResult simulate_static(const std::vector<std::uint64_t>& cost, int width) {
 
 // Cuts the photon range into `batch`-photon windows (the backends' drain
 // barrier) and sums each window's critical path: the tail of every window
-// gates that window, exactly as in run_shared/run_hybrid.
+// gates that window, exactly as in the particle engine (par/hybrid.cpp).
 template <typename Sim>
 TailResult windowed(const std::vector<std::uint64_t>& photon_cost, std::uint64_t batch,
                     std::uint64_t chunk, int width, Sim sim) {

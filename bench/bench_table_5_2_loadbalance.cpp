@@ -8,8 +8,8 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "engine/backend.hpp"
 #include "geom/scenes.hpp"
-#include "par/dist.hpp"
 
 using namespace photon;
 
@@ -24,12 +24,12 @@ int main(int argc, char** argv) {
   cfg.adapt_batch = false;
   cfg.batch = 1000;
 
+  const auto backend = make_backend("dist-particle");
   cfg.bestfit = false;
   cfg.workers = P;
-  const RunResult naive = run_distributed(scene, cfg);
+  const RunResult naive = backend->run(scene, cfg);
   cfg.bestfit = true;
-  cfg.workers = P;
-  const RunResult packed = run_distributed(scene, cfg);
+  const RunResult packed = backend->run(scene, cfg);
 
   // Paper's Table 5.2 columns (thousands of photons).
   const double paper_naive[] = {47.9, 34.5, 35.6, 25.6, 32.7, 24.9, 35.1, 32.8};

@@ -7,8 +7,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "engine/backend.hpp"
 #include "geom/scenes.hpp"
-#include "par/dist.hpp"
 #include "view/viewer.hpp"
 
 int main(int argc, char** argv) {
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   config.photons = photons;
   config.adapt_batch = true;
   config.workers = ranks;
-  const RunResult result = run_distributed(scene, config);
+  const RunResult result = make_backend("dist-particle")->run(scene, config);
 
   std::printf("\nper-rank report (Fig 5.3 algorithm):\n");
   std::printf("%5s %10s %12s %12s %10s\n", "rank", "traced", "tallied", "sent bytes", "batches");

@@ -43,9 +43,9 @@
 //       seconds (plus a grace of --watchdog-grace, default S again) declares
 //       the run wedged — emergency checkpoint, typed abort with exit code 6,
 //       never a hang. --memory-budget=B admits the run only under the
-//       degradation ladder (shrink sink buffers, then coarsen accel leaves,
-//       then refuse with exit 9) and stops the run gracefully (exit 9,
-//       resumable) if the forest footprint crosses B mid-run.
+//       degradation ladder (coarsen accel leaves, then refuse with exit 9)
+//       and stops the run gracefully (exit 9, resumable) if the forest
+//       footprint crosses B mid-run.
 //
 //       Exit codes (core/error.hpp): 0 ok, 1 generic I/O, 2 usage,
 //       3 checkpoint rejected, 4 comm failure beyond recovery,
@@ -381,10 +381,10 @@ int cmd_simulate_impl(const Args& args, const std::string& spec, const std::stri
         "--split-z must be > 0, --split-min/--split-leaf/--max-bounces >= 1, "
         "--split-growth >= 1");
   }
-  // The parallel RNG scheme assigns each photon a disjoint 4096-element block
-  // (par/spatial's photon_stream, and every resume skip); at a handful of
-  // draws per bounce, paths beyond ~512 bounces could bleed into the next
-  // photon's block and silently correlate streams.
+  // The RNG scheme assigns each photon a disjoint 4096-element block
+  // (core/rng.hpp photon_stream); at a handful of draws per bounce, paths
+  // beyond ~512 bounces could bleed into the next photon's block and
+  // silently correlate streams.
   if (config.limits.max_bounces > 512) {
     throw ConfigError("--max-bounces must be <= 512 (per-photon RNG blocks are 4096 draws)");
   }
@@ -434,11 +434,9 @@ int cmd_simulate_impl(const Args& args, const std::string& spec, const std::stri
   // photon is traced.
   if (config.memory_budget != 0) {
     const AdmissionPlan plan = govern_admission(scene, config);
-    config.sink_buffer = plan.sink_buffer;
-    if (!json_report && (plan.shrank_buffers || plan.coarsened_accel)) {
-      std::printf("memory budget: degraded admission (%s%s~%llu bytes planned)\n",
-                  plan.shrank_buffers ? "shrank sink buffers, " : "",
-                  plan.coarsened_accel ? "coarsened accel leaves, " : "",
+    if (!json_report && plan.coarsened_accel) {
+      std::printf("memory budget: degraded admission (coarsened accel leaves, ~%llu bytes "
+                  "planned)\n",
                   static_cast<unsigned long long>(plan.estimated_bytes));
     }
   }

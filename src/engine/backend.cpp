@@ -4,9 +4,7 @@
 #include <map>
 #include <mutex>
 
-#include "par/dist.hpp"
 #include "par/hybrid.hpp"
-#include "par/shared.hpp"
 #include "par/spatial.hpp"
 #include "sim/simulator.hpp"
 
@@ -24,27 +22,38 @@ class SerialBackend final : public Backend {
   }
 };
 
-class SharedBackend final : public Backend {
- public:
-  std::string name() const override { return "shared"; }
-  bool supports_resume() const override { return true; }
-  RunResult run(const Scene& scene, const RunConfig& config,
-                const RunResult* resume) override {
-    return run_shared(scene, config, resume);
-  }
+// The particle engine (par/hybrid.hpp) under each of its names. `batch`
+// keeps its per-name meaning: the global window for shared and hybrid,
+// photons per rank per round for dist-particle.
+enum class ParticleShape {
+  kThreads,          // shared: 1 × workers
+  kRanks,            // dist-particle: workers × 1
+  kGroupsOfThreads,  // hybrid: groups × workers
 };
 
-class DistParticleBackend final : public Backend {
+class ParticleBackend final : public Backend {
  public:
-  std::string name() const override { return "dist-particle"; }
-  // Resume folds the checkpoint into the partitioned trees (BinForest merge)
-  // and continues on a disjoint RNG block — statistically independent, not
-  // the bitwise continuation serial guarantees.
+  ParticleBackend(std::string name, ParticleShape shape)
+      : name_(std::move(name)), shape_(shape) {}
+  std::string name() const override { return name_; }
   bool supports_resume() const override { return true; }
   RunResult run(const Scene& scene, const RunConfig& config,
                 const RunResult* resume) override {
-    return run_distributed(scene, config, resume);
+    RunConfig shaped = config;
+    if (shape_ == ParticleShape::kThreads) {
+      shaped.groups = 1;
+    } else if (shape_ == ParticleShape::kRanks) {
+      shaped.groups = std::max(config.workers, 1);
+      shaped.workers = 1;
+      shaped.batch = std::max<std::uint64_t>(config.batch, 1) *
+                     static_cast<std::uint64_t>(shaped.groups);
+    }
+    return run_hybrid(scene, shaped, resume, name_.c_str());
   }
+
+ private:
+  std::string name_;
+  ParticleShape shape_;
 };
 
 class DistSpatialBackend final : public Backend {
@@ -59,19 +68,6 @@ class DistSpatialBackend final : public Backend {
   }
 };
 
-class HybridBackend final : public Backend {
- public:
-  std::string name() const override { return "hybrid"; }
-  // Resume folds the checkpoint into the partitioned trees and continues the
-  // per-photon id sequence; when the first leg ended on a batch-window
-  // boundary the continuation is bitwise identical to an uninterrupted run.
-  bool supports_resume() const override { return true; }
-  RunResult run(const Scene& scene, const RunConfig& config,
-                const RunResult* resume) override {
-    return run_hybrid(scene, config, resume);
-  }
-};
-
 std::mutex& registry_mutex() {
   static std::mutex m;
   return m;
@@ -80,10 +76,15 @@ std::mutex& registry_mutex() {
 std::map<std::string, BackendFactory>& factory_map() {
   static std::map<std::string, BackendFactory> factories = {
       {"serial", [] { return std::make_unique<SerialBackend>(); }},
-      {"shared", [] { return std::make_unique<SharedBackend>(); }},
-      {"dist-particle", [] { return std::make_unique<DistParticleBackend>(); }},
+      {"shared",
+       [] { return std::make_unique<ParticleBackend>("shared", ParticleShape::kThreads); }},
+      {"dist-particle",
+       [] { return std::make_unique<ParticleBackend>("dist-particle", ParticleShape::kRanks); }},
       {"dist-spatial", [] { return std::make_unique<DistSpatialBackend>(); }},
-      {"hybrid", [] { return std::make_unique<HybridBackend>(); }},
+      {"hybrid",
+       [] {
+         return std::make_unique<ParticleBackend>("hybrid", ParticleShape::kGroupsOfThreads);
+       }},
   };
   return factories;
 }

@@ -4,16 +4,23 @@
 // trace, tally into the adaptive bin forest — and differs only in how the
 // work and the forest are decomposed:
 //
-//   serial        one thread, the paper's "best serial version" baseline
-//   shared        shared-memory forall loop over pool chunks, each window's
-//                 records drained per tree on the pool, no locks (Fig 5.2)
-//   dist-particle replicated geometry, partitioned forest, batched
-//                 all-to-all record exchange (Fig 5.3)
+//   serial        one thread, the paper's "best serial version" baseline and
+//                 the bitwise reference every other shape is pinned against
+//   shared        the particle engine at 1 × workers: shared-memory forall
+//                 over pool chunks, each window drained per tree on the pool
+//                 (Fig 5.2)
+//   dist-particle the particle engine at workers × 1: replicated geometry,
+//                 partitioned forest, batched all-to-all record exchange
+//                 (Fig 5.3)
+//   hybrid        the particle engine at groups × workers: message passing
+//                 between groups, shared memory within them (the paper's
+//                 cluster-of-multiprocessors target)
 //   dist-spatial  partitioned geometry; photons migrate between region
 //                 owners (chapter 6, "Massive Parallelism")
-//   hybrid        message passing between groups, shared memory within them
-//                 (the paper's cluster-of-multiprocessors target): groups ×
-//                 workers threads, bitwise shape-invariant (par/hybrid.hpp)
+//
+// The particle engine (par/hybrid.hpp) is one window loop on per-photon RNG
+// streams: serial, shared, dist-particle and hybrid answer bitwise-equal at
+// every shape, window size and resume point.
 //
 // Backends are selected by name through make_backend(); additional backends
 // can be registered at runtime with register_backend(). Every registered
@@ -37,9 +44,9 @@
 
 namespace photon {
 
-// Per-worker report. The first block is filled by the particle
-// decompositions, the second by the spatial decomposition; unused fields stay
-// zero.
+// Per-rank report. The first block is filled by the particle engine (one
+// report per group), the second by the spatial decomposition; unused fields
+// stay zero.
 struct RankReport {
   std::uint64_t traced = 0;     // photons generated and traced by this rank
   std::uint64_t processed = 0;  // tally updates performed (Table 5.2 metric)
@@ -52,15 +59,6 @@ struct RankReport {
   double wait_seconds = 0.0;
   std::vector<std::uint64_t> batch_sizes;
   TraceCounters counters;
-
-  // Exact generator state of this rank's leapfrogged stream at the end of
-  // the run (dist-particle). Checkpointed so a resume at the same rank count
-  // restores each stream in place — the bitwise continuation. Zero when the
-  // backend has no per-rank stream (spatial/hybrid photons carry their own
-  // disjoint blocks and need no state).
-  std::uint64_t rng_state = 0;
-  std::uint64_t rng_mul = 0;
-  std::uint64_t rng_add = 0;
 
   // Spatial decomposition (chapter 6).
   std::uint64_t local_patches = 0;    // patches overlapping this rank's region
@@ -89,12 +87,11 @@ struct RecoveryStats {
 };
 
 // Scheduler telemetry from the persistent worker pool (engine/pool.hpp):
-// how the chunk grid actually landed on the workers. Supersedes the bare
-// `per_thread_traced` vector as the Table 5.2 imbalance observable — with
-// dynamic stealing, *chunks executed* and *steals performed* per worker are
-// the interesting skew numbers, not just photon totals. For `shared` the
-// slots are worker threads; for `hybrid` slot group*workers+tid is thread
-// tid of group `group` (the group×thread extension ROADMAP asks for).
+// how the chunk grid actually landed on the workers — the Table 5.2
+// imbalance observable. With dynamic stealing, *chunks executed* and *steals
+// performed* per worker are the interesting skew numbers, not just photon
+// totals. Slot group*workers+tid is thread tid of group `group` (for
+// `shared` the slots are its worker threads).
 struct PoolTelemetry {
   std::uint64_t chunk_size = 0;  // photons per scheduling chunk
   std::uint64_t chunks = 0;      // chunks executed across the run
@@ -114,16 +111,9 @@ struct RunResult {
   TraceCounters counters;
   std::vector<MemoryPoint> memory;
 
-  // Exact generator state at the end of a serial run; with the forest and
-  // counters this is everything needed to resume (sim/checkpoint.hpp).
-  std::uint64_t rng_state = 0;
-  std::uint64_t rng_mul = 0;
-  std::uint64_t rng_add = 0;
-
-  std::vector<std::uint64_t> per_thread_traced;  // shared (== pool.worker_photons)
-  PoolTelemetry pool;                            // shared, hybrid
-  std::vector<RankReport> ranks;                 // dist-particle, dist-spatial
-  LoadBalance balance;                           // dist-particle
+  PoolTelemetry pool;                            // particle engine
+  std::vector<RankReport> ranks;                 // particle engine, dist-spatial
+  LoadBalance balance;                           // particle engine
   std::vector<Aabb> regions;                     // dist-spatial
   RecoveryStats recovery;                        // filled by run_elastic
 
@@ -140,11 +130,11 @@ class Backend {
 
   virtual std::string name() const = 0;
 
-  // Whether run() honors `resume`: adopting the forest, counters and RNG
-  // state of a previous result and simulating config.photons *additional*
-  // photons. `serial` and the photon-stream backends (`shared`, `hybrid` at
-  // window boundaries) guarantee the continuation is bitwise identical to an
-  // uninterrupted run.
+  // Whether run() honors `resume`: adopting the forest and counters of a
+  // previous result and simulating config.photons *additional* photons,
+  // continuing the photon-id sequence. `serial` and the particle engine's
+  // names guarantee the continuation is bitwise identical to an
+  // uninterrupted run, whatever shape either leg ran at.
   virtual bool supports_resume() const { return false; }
 
   virtual RunResult run(const Scene& scene, const RunConfig& config,

@@ -39,41 +39,26 @@ struct RunConfig {
   // shared-memory threads). Ignored by every other backend.
   int groups = 1;
 
-  // serial: draw each photon from its own disjoint 4096-element RNG block
-  // (par/spatial's photon_stream) instead of one continuous stream. This is
-  // the bitwise reference the shape-invariant backends (`hybrid`,
-  // `dist-spatial`@1) are pinned against: photon i's path no longer depends
-  // on how many draws photons 0..i-1 consumed, so any decomposition of the
-  // id space can reproduce it exactly.
-  bool photon_streams = false;
-
-  // Leapfrog substream for `serial` (rank of nranks); (0, 1) is the plain
-  // serial stream. Lets a serial run reproduce one rank of a parallel run.
-  int rank = 0;
-  int nranks = 1;
-
   // Batching. `batch` is the fixed batch size: photons per batch for serial,
-  // per rank per round for dist-particle/dist-spatial, and the GLOBAL ids
-  // per window for hybrid (shared by all groups — shape-independent, which
-  // is what makes hybrid's schedule, and so its result, bitwise invariant).
-  // When `adapt_batch` is set, the engine's BatchController adapts the size
-  // to the measured rate instead (chapter 5, "Communication vs.
-  // Computation"); hybrid ignores adapt_batch (par/hybrid.hpp).
+  // per rank per round for dist-particle and dist-spatial, and the GLOBAL ids
+  // per window for shared and hybrid. When `adapt_batch` is set, the
+  // engine's BatchController adapts the size to the measured rate instead
+  // (chapter 5, "Communication vs. Computation"): the batch for serial, each
+  // rank's or group's slice of the window for the particle engine. Records
+  // apply in photon-id order at every window size, so on serial, shared,
+  // dist-particle and hybrid both knobs are scheduling only: the answer is
+  // the same whatever they are set to.
   std::uint64_t batch = 10000;
   bool adapt_batch = false;
   BatchPolicy batch_policy{};
 
-  // Photons per scheduling chunk for the pool-backed threaded backends
-  // (shared, hybrid): the photon-id range is cut into `chunk`-photon chunks
-  // that idle workers claim/steal dynamically (engine/pool.hpp). Purely a
-  // scheduling grain — per-chunk record buffers drain in ascending chunk
-  // order, so the populated forest is bitwise identical for ANY chunk size,
-  // worker count, or steal interleaving. Clamped to >= 1.
+  // Photons per scheduling chunk for the particle engine (shared,
+  // dist-particle, hybrid): each group's id slice is cut into `chunk`-photon
+  // chunks that idle workers claim/steal dynamically (engine/pool.hpp).
+  // Purely a scheduling grain — per-chunk record buffers are read in
+  // ascending chunk order, so the populated forest is bitwise identical for
+  // ANY chunk size, worker count, or steal interleaving. Clamped to >= 1.
   std::uint64_t chunk = 64;
-
-  double max_seconds = 0.0;         // serial: stop after this much wall time when > 0
-  double sample_interval_s = 0.05;  // shared: speed-trace sampling period (legacy; the
-                                    // pool-backed loop samples once per batch window)
 
   // When non-empty, every speed-trace point — and, for serial, every
   // bin-forest memory point — streams to this file (JSONL, one point per
@@ -84,13 +69,8 @@ struct RunConfig {
   // trace.
   std::string trace_path;
 
-  // shared: BounceRecords buffered per worker before a per-tree batched flush
-  // (engine/sink.hpp). 1 collapses to one lock per record; values are clamped
-  // to >= 1. Buffering never changes any single tree's record order, so
-  // shared@1 stays bitwise identical to serial at any threshold.
-  std::uint64_t sink_buffer = 256;
-
-  // dist-particle load balancing: probe photons (k) and assignment strategy.
+  // Load balancing for the partitioned particle engine (dist-particle,
+  // hybrid at groups > 1): probe photons (k) and assignment strategy.
   std::uint64_t lb_photons = 2000;
   bool bestfit = true;  // false: naive contiguous ownership
 
@@ -115,8 +95,8 @@ struct RunConfig {
   CommPolicy comm{};
   // Elastic-runner leg size: run_elastic cuts the run into legs of this many
   // photons, holding the last completed leg's RunResult as the in-memory
-  // checkpoint a recovery rewinds to. Rounded down to a whole number of
-  // `batch` windows (hybrid resume is bitwise only at window boundaries).
+  // checkpoint a recovery rewinds to. Any size: resume continues the
+  // photon-id sequence, so a leg may end mid-window and stay bitwise.
   // 0 = one leg (no intermediate checkpoints: a failure re-traces the run).
   std::uint64_t checkpoint_photons = 0;
   // World failures tolerated before run_elastic gives up and rethrows.

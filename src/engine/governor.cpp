@@ -347,46 +347,30 @@ ProgressSnapshot Watchdog::wedged_snapshot() const {
 
 // ---- Memory budget ---------------------------------------------------------
 
-namespace {
-
-// Planning-time footprint: the built accel, a virgin forest, and the batch
-// buffer high-water estimate (per-window wire bytes plus the per-worker sink
-// buffers). Coarse by design — the runtime forest growth is governed by the
-// stop word, not by this estimate.
-std::uint64_t estimate_bytes(const Scene& scene, const RunConfig& config,
-                             std::uint64_t sink_buffer) {
+// Planning-time footprint: the built accel, a virgin forest, and the window
+// buffers — the wire bytes of one window and the chunk-record buffers, one
+// BounceRecord per photon of the held window. Every photon records its
+// emission and most record bounces too, so the record term is a floor. Both
+// terms take width × batch photons per window, the largest any backend's
+// `batch` reading gives. Coarse by design — the runtime forest growth is
+// governed by the stop word, not by this estimate.
+std::uint64_t admission_estimate_bytes(const Scene& scene, const RunConfig& config) {
   const int width = std::max(config.workers, 1) * std::max(config.groups, 1);
   const std::uint64_t accel = scene.accel().memory_bytes();
   const std::uint64_t forest =
       BinForest(scene.patch_count(), config.policy).memory_bytes();
-  const std::uint64_t batch = std::max<std::uint64_t>(config.batch, 1);
-  const std::uint64_t wire =
-      static_cast<std::uint64_t>(width) * batch * sizeof(WireRecord);
-  const std::uint64_t sinks = static_cast<std::uint64_t>(width) * sink_buffer *
-                              sizeof(BounceRecord);
-  return accel + forest + wire + sinks;
-}
-
-}  // namespace
-
-std::uint64_t admission_estimate_bytes(const Scene& scene, const RunConfig& config,
-                                       std::uint64_t sink_buffer) {
-  return estimate_bytes(scene, config, std::max<std::uint64_t>(sink_buffer, 1));
+  const std::uint64_t window =
+      static_cast<std::uint64_t>(width) * std::max<std::uint64_t>(config.batch, 1);
+  const std::uint64_t wire = window * sizeof(WireRecord);
+  const std::uint64_t records = window * sizeof(BounceRecord);
+  return accel + forest + wire + records;
 }
 
 AdmissionPlan govern_admission(Scene& scene, const RunConfig& config) {
   AdmissionPlan plan;
-  plan.sink_buffer = std::max<std::uint64_t>(config.sink_buffer, 1);
-  plan.estimated_bytes = estimate_bytes(scene, config, plan.sink_buffer);
+  plan.estimated_bytes = admission_estimate_bytes(scene, config);
   const std::uint64_t budget = config.memory_budget;
   if (budget == 0 || plan.estimated_bytes <= budget) return plan;
-
-  // Rung 1: shrink the sink/wire buffers. Buffering thresholds never change
-  // any tree's record order (engine/sink.hpp), so this is bitwise-neutral.
-  plan.sink_buffer = std::min<std::uint64_t>(plan.sink_buffer, 16);
-  plan.shrank_buffers = true;
-  plan.estimated_bytes = estimate_bytes(scene, config, plan.sink_buffer);
-  if (plan.estimated_bytes <= budget) return plan;
 
   // Rung 2: coarsen the accel leaf parameters and rebuild — fatter leaves,
   // shallower tree, smaller index. Every structure answers queries bitwise
@@ -400,12 +384,12 @@ AdmissionPlan govern_admission(Scene& scene, const RunConfig& config) {
   plan.coarsened_accel = true;
   scene.build(plan.accel_params);
   progress_tick(config, "accel-build", scene.patch_count());
-  plan.estimated_bytes = estimate_bytes(scene, config, plan.sink_buffer);
+  plan.estimated_bytes = admission_estimate_bytes(scene, config);
   if (plan.estimated_bytes <= budget) return plan;
 
-  // Rung 3: refuse admission. Deliberately NOT on the ladder: batch/window
-  // size — record order feeds the adaptive split decisions, so shrinking it
-  // would change results, and a degraded run must stay bitwise-equal.
+  // Rung 3: refuse admission. Window size is not on the ladder: it is
+  // result-neutral on serial and every particle-engine shape, but not on
+  // dist-spatial at P > 1, and a degraded run must stay bitwise-equal.
   std::ostringstream what;
   what << "memory budget " << budget << " bytes refused: coarsest plan still needs ~"
        << plan.estimated_bytes << " bytes (accel "

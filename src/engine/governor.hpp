@@ -30,15 +30,15 @@
 //                into a WedgedError (exit 6). A typed abort, never a hang.
 //
 //   MemoryBudget govern_admission applies the documented degradation ladder
-//                to an over-budget run before it starts: shrink the sink
-//                buffers, then coarsen the accel leaf parameters (both
-//                bitwise-neutral by contract), then refuse admission with a
-//                typed ResourceError. At run time the governed loops fold
-//                the forest footprint into the same stop word and stop with
-//                RunStatus::kOverBudget — a resumable graceful stop, not an
-//                OOM kill. Batch/window size is deliberately NOT a rung:
-//                record order feeds the adaptive split decisions, so
-//                changing it would change results.
+//                to an over-budget run before it starts: coarsen the accel
+//                leaf parameters (bitwise-neutral by contract), then refuse
+//                admission with a typed ResourceError. At run time the
+//                governed loops fold the forest footprint into the same stop
+//                word and stop with RunStatus::kOverBudget — a resumable
+//                graceful stop, not an OOM kill. Window size is
+//                result-neutral on serial and every particle-engine shape;
+//                it stays off the ladder only because dist-spatial at P > 1
+//                is not.
 #pragma once
 
 #include <atomic>
@@ -225,14 +225,12 @@ class Watchdog {
 
 // ---- Memory budget ---------------------------------------------------------
 
-// What govern_admission decided: the (possibly degraded) knobs to run with
-// and what each rung changed. estimate_bytes is the planning-time footprint
-// — accel + virgin forest + buffer high-water estimate — not a promise.
+// What govern_admission decided: the (possibly degraded) accel build
+// parameters to run with. estimate_bytes is the planning-time footprint —
+// accel + virgin forest + window buffers — not a promise.
 struct AdmissionPlan {
   std::uint64_t estimated_bytes = 0;
-  std::uint64_t sink_buffer = 0;       // records per worker buffer (rung 1)
   AccelBuildParams accel_params{};     // leaf params (rung 2)
-  bool shrank_buffers = false;
   bool coarsened_accel = false;
 };
 
@@ -247,7 +245,6 @@ AdmissionPlan govern_admission(Scene& scene, const RunConfig& config);
 // const, never rebuilds anything. The photon service admits jobs against a
 // shared budget with this — rung 2 (rebuild the accel) is off the table for
 // a resident scene other jobs are reading.
-std::uint64_t admission_estimate_bytes(const Scene& scene, const RunConfig& config,
-                                       std::uint64_t sink_buffer);
+std::uint64_t admission_estimate_bytes(const Scene& scene, const RunConfig& config);
 
 }  // namespace photon

@@ -23,14 +23,7 @@ RunResult run_elastic(Backend& backend, const Scene& scene, const RunConfig& con
   const bool shrink_groups = backend.name() == "hybrid";
   const std::uint64_t total = config.photons;
 
-  // Leg size aligned down to whole batch windows: hybrid's resume is bitwise
-  // only at window boundaries, and the alignment costs the other backends
-  // nothing.
-  std::uint64_t leg = config.checkpoint_photons;
-  if (leg > 0) {
-    const std::uint64_t window = std::max<std::uint64_t>(cfg.batch, 1);
-    leg = std::max(window, leg - leg % window);
-  }
+  const std::uint64_t leg = config.checkpoint_photons;
 
   // The last completed state: the caller's resume (read in place — it
   // outlives this call, so copying it would only cost time and memory) until

@@ -11,13 +11,12 @@
 // photon-id slice re-shards across the survivors automatically because every
 // backend derives its slice from (width, rank).
 //
-// Determinism after recovery (DESIGN.md "Fault model"): hybrid is bitwise
-// shape-invariant and legs align to window boundaries, so a recovered run is
-// bitwise equal to an undisturbed run at the survivor shape. dist-particle
-// and dist-spatial recover with conserved tallies but not bitwise equality —
-// dist-particle's leapfrog streams are shape-bound (its resume degrades to
-// disjoint-block streams, the conservative re-trace), and dist-spatial's
-// record interleaving is shape-dependent.
+// Determinism after recovery (DESIGN.md "Fault model"): the particle engine
+// (shared, dist-particle, hybrid) is bitwise shape-invariant and resumes
+// bitwise at any leg boundary, so a recovered run is bitwise equal to an
+// undisturbed run at the survivor shape. dist-spatial recovers with
+// conserved tallies but not bitwise equality — its record interleaving is
+// shape-dependent.
 #pragma once
 
 #include "engine/backend.hpp"

@@ -4,47 +4,6 @@
 
 namespace photon {
 
-BufferedForestSink::BufferedForestSink(BinForest& forest, std::vector<std::mutex>& tree_mutexes,
-                                       std::size_t flush_threshold)
-    : forest_(&forest),
-      mutexes_(&tree_mutexes),
-      threshold_(std::max<std::size_t>(flush_threshold, 1)) {
-  buffer_.reserve(threshold_);
-  order_.reserve(threshold_);
-}
-
-BufferedForestSink::~BufferedForestSink() { flush(); }
-
-void BufferedForestSink::flush() {
-  const std::size_t n = buffer_.size();
-  if (n == 0) return;
-
-  // Group records by target tree, stably: one precomputed key per record —
-  // tree index in the high half, recording position in the low half — so the
-  // sort is a single integer compare instead of re-deriving tree_index twice
-  // per comparison, and equal trees keep recording order by construction.
-  order_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto tree =
-        static_cast<std::uint64_t>(BinForest::tree_index(buffer_[i].patch, buffer_[i].front));
-    order_[i] = (tree << 32) | static_cast<std::uint32_t>(i);
-  }
-  std::sort(order_.begin(), order_.end());
-
-  std::size_t i = 0;
-  while (i < n) {
-    const int tree_idx = static_cast<int>(order_[i] >> 32);
-    std::lock_guard<std::mutex> lock((*mutexes_)[static_cast<std::size_t>(tree_idx)]);
-    BinTree& tree = forest_->tree_at(tree_idx);
-    do {
-      const BounceRecord& rec = buffer_[static_cast<std::uint32_t>(order_[i])];
-      tree.record(rec.coords, rec.channel);
-      ++i;
-    } while (i < n && static_cast<int>(order_[i] >> 32) == tree_idx);
-  }
-  buffer_.clear();
-}
-
 void RouterSink::apply_incoming(const Bytes& buf) {
   for_each_wire<WireRecord>(buf, [&](const WireRecord& wire) {
     const BounceRecord rec = from_wire(wire);
@@ -53,17 +12,36 @@ void RouterSink::apply_incoming(const Bytes& buf) {
   });
 }
 
-void OrderedRouterSink::apply_batch(const std::vector<BounceRecord>& held,
-                                    const std::vector<Bytes>& incoming) {
-  const int sources = static_cast<int>(incoming.size());
+template <typename Keep>
+std::uint64_t OrderedRouterSink::apply_filtered(std::span<const std::vector<BounceRecord>> held,
+                                                const std::vector<Bytes>& incoming, Keep keep) {
+  std::uint64_t applied = 0;
+  const auto apply = [&](const BounceRecord& rec) {
+    if (!keep(rec.patch)) return;
+    forest_->record(rec.patch, rec.front, rec.coords, rec.channel);
+    ++applied;
+  };
+  const int sources = std::max(static_cast<int>(incoming.size()), rank_ + 1);
   for (int s = 0; s < sources; ++s) {
     if (s == rank_) {
-      for (const BounceRecord& rec : held) apply_record(rec);
+      for (const std::vector<BounceRecord>& run : held) {
+        for (const BounceRecord& rec : run) apply(rec);
+      }
     } else {
       for_each_wire<WireRecord>(incoming[static_cast<std::size_t>(s)],
-                                [&](const WireRecord& wire) { apply_record(from_wire(wire)); });
+                                [&](const WireRecord& wire) { apply(from_wire(wire)); });
     }
   }
+  return applied;
+}
+
+std::uint64_t OrderedRouterSink::apply_batch(std::span<const std::vector<BounceRecord>> held,
+                                             const std::vector<Bytes>& incoming,
+                                             std::uint32_t part, std::uint32_t parts) {
+  if (parts <= 1) return apply_filtered(held, incoming, [](std::int32_t) { return true; });
+  return apply_filtered(held, incoming, [=](std::int32_t patch) {
+    return static_cast<std::uint32_t>(patch) % parts == part;
+  });
 }
 
 }  // namespace photon

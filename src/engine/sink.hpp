@@ -1,23 +1,11 @@
-// BufferedForestSink — batched, contention-light tallying for the shared
-// backend (and any future backend that funnels BounceRecords into a locked
-// BinForest).
-//
-// The seed's LockedForestSink took one mutex acquisition per recorded bounce;
-// at millions of bounces/sec across threads that lock traffic dominates the
-// hot path. This sink accumulates records in a thread-private buffer and, at
-// a configurable threshold (RunConfig::sink_buffer), groups them by target
-// tree and applies each tree's batch under that tree's mutex — one lock per
-// distinct tree per flush instead of one per record.
-//
-// Ordering guarantee: within one sink, records bound for the same tree are
-// applied in the order they were recorded (the grouping sort is stable).
-// Trees are independent histograms, so reordering *across* trees cannot
-// change any tree's final state — at one worker the flushed forest is bitwise
-// identical to the serial ForestSink result.
+// Record sinks for the partitioned-forest backends: RouterSink routes each
+// record to its owner as it is traced (dist-spatial); OrderedRouterSink
+// holds owned records and applies whole windows in canonical order (the
+// particle engine, par/hybrid.hpp).
 #pragma once
 
 #include <cstdint>
-#include <mutex>
+#include <span>
 #include <vector>
 
 #include "engine/wire.hpp"
@@ -26,44 +14,11 @@
 
 namespace photon {
 
-class BufferedForestSink final : public BinSink {
- public:
-  // `flush_threshold` is clamped to >= 1; 1 degenerates to lock-per-record.
-  // Buffer capacity is reserved up front, so the record path never allocates.
-  BufferedForestSink(BinForest& forest, std::vector<std::mutex>& tree_mutexes,
-                     std::size_t flush_threshold);
-  ~BufferedForestSink() override;
-
-  BufferedForestSink(const BufferedForestSink&) = delete;
-  BufferedForestSink& operator=(const BufferedForestSink&) = delete;
-
-  void record(const BounceRecord& rec) override {
-    buffer_.push_back(rec);
-    if (buffer_.size() >= threshold_) flush();
-  }
-
-  // Applies every buffered record; must be (and is, via the destructor)
-  // called before the forest is read.
-  void flush();
-
-  std::size_t threshold() const { return threshold_; }
-
- private:
-  BinForest* forest_;
-  std::vector<std::mutex>* mutexes_;
-  std::vector<BounceRecord> buffer_;
-  // Scratch for the per-tree grouping sort: (tree_index << 32) | position.
-  std::vector<std::uint64_t> order_;
-  std::size_t threshold_;
-};
-
-// RouterSink — the distributed backends' record router (EnQueue of Fig 5.3),
-// in the same engine-service family as BufferedForestSink. A record whose
-// patch this rank owns is tallied into the local forest immediately; a
-// foreign record is serialized in place into the per-destination WireBuffer
-// (one copy, straight into the bytes the exchange will send). Both par/dist
-// and par/spatial previously hand-rolled this with per-destination
-// std::vector<WireRecord> queues re-packed every batch.
+// RouterSink — the distributed backends' record router (EnQueue of Fig 5.3).
+// A record whose patch this rank owns is tallied into the local forest
+// immediately; a foreign record is serialized in place into the
+// per-destination WireBuffer (one copy, straight into the bytes the exchange
+// will send).
 //
 // The sink holds no queue of its own: WireBuffer::take() surrenders batch k's
 // bytes to the split-phase exchange and leaves the same buffer refillable, so
@@ -98,24 +53,21 @@ class RouterSink final : public BinSink {
   std::uint64_t* applied_;
 };
 
-// OrderedRouterSink — RouterSink's canonically-ordered sibling, used by the
-// backends that promise a *reproducible interleaving* of local and foreign
-// records (dist-particle's bitwise resume, hybrid's shape invariance).
+// OrderedRouterSink — RouterSink's canonically-ordered sibling, the record
+// path of the particle engine (par/hybrid.hpp) at every shape.
 //
 // RouterSink tallies owned records the instant they are traced, so a tree's
-// record order interleaves "my trace position" with "whenever a drain ran" —
-// reproducible run to run, but dependent on the batch pipeline's phase.
-// This sink instead *holds* owned records per batch and applies one batch
-// window atomically in source-rank order: rank 0's slice, rank 1's slice, …
-// (its own held slice in place of incoming[rank]). Per-tree record order is
-// then a pure function of the batch schedule — independent of pipeline depth,
-// and, when ranks trace contiguous id slices, equal to global photon-id
-// order.
+// record order interleaves "my trace position" with "whenever a drain ran".
+// This sink instead *holds* owned records per window and applies one window
+// atomically in source-rank order: rank 0's slice, rank 1's slice, … (its own
+// held slice in place of incoming[rank]). When ranks trace contiguous id
+// slices in ascending order, that is global photon-id order — the order the
+// serial reference tallies in — whatever the window size or shape.
 class OrderedRouterSink final : public BinSink {
  public:
   OrderedRouterSink(BinForest& forest, const std::vector<int>& owner, int rank,
-                    WireBuffer& wire, std::uint64_t& applied)
-      : forest_(&forest), owner_(&owner), rank_(rank), wire_(&wire), applied_(&applied) {}
+                    WireBuffer& wire)
+      : forest_(&forest), owner_(&owner), rank_(rank), wire_(&wire) {}
 
   // Owned records are held for apply_batch; foreign records serialize in
   // place into the outgoing wire (same zero-copy path as RouterSink).
@@ -129,27 +81,32 @@ class OrderedRouterSink final : public BinSink {
   }
 
   // Surrenders the records held since the last take (the WireBuffer::take
-  // idiom): batch k's held slice stays applicable while batch k+1 records
+  // idiom): window k's held slice stays applicable while window k+1 records
   // into the same sink.
   std::vector<BounceRecord> take_held() { return std::move(held_); }
 
-  // Applies one batch window in canonical source order: for each source rank
-  // s, incoming[s]'s records — except s == rank, whose slot is `held` (this
-  // rank's own records for the window, taken via take_held). incoming[rank]
-  // is ignored (self-delivery is empty on the record tag).
-  void apply_batch(const std::vector<BounceRecord>& held, const std::vector<Bytes>& incoming);
+  // Applies part `part` of `parts` of one window in canonical source order:
+  // for each source rank s, incoming[s]'s records — except s == rank, whose
+  // slot is `held`, this rank's own records for the window as runs in
+  // ascending id order (the take_held slice, or the chunk buffers when
+  // nothing was routed). incoming[rank] is ignored; incoming may be empty
+  // when no other rank exists. A part applies only the records of patches
+  // with patch % parts == part, so the `parts` parts touch disjoint trees
+  // and may run concurrently; every tree still sees its records in the
+  // canonical order. Returns the records this part applied.
+  std::uint64_t apply_batch(std::span<const std::vector<BounceRecord>> held,
+                            const std::vector<Bytes>& incoming, std::uint32_t part = 0,
+                            std::uint32_t parts = 1);
 
  private:
-  void apply_record(const BounceRecord& rec) {
-    forest_->record(rec.patch, rec.front, rec.coords, rec.channel);
-    ++(*applied_);
-  }
+  template <typename Keep>
+  std::uint64_t apply_filtered(std::span<const std::vector<BounceRecord>> held,
+                               const std::vector<Bytes>& incoming, Keep keep);
 
   BinForest* forest_;
   const std::vector<int>* owner_;
   int rank_;
   WireBuffer* wire_;
-  std::uint64_t* applied_;
   std::vector<BounceRecord> held_;
 };
 

@@ -28,7 +28,13 @@ void Scene::add_luminaire(int patch, const Rgb& power, double angular_scale) {
   luminaires_.push_back(lum);
 }
 
-void Scene::build(const AccelBuildParams& params) { accel_->build(patches_, params); }
+void Scene::build(const AccelBuildParams& params) {
+  // A rebuild (the admission ladder's coarser leaves) goes into a fresh
+  // structure, so the previous index's storage is released, not kept as
+  // capacity the footprint would still count.
+  if (accel_->built()) accel_ = make_accel(accel_kind_);
+  accel_->build(patches_, params);
+}
 
 std::optional<SceneHit> Scene::intersect_brute(const Ray& ray, double tmax) const {
   SceneHit best;

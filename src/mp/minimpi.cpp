@@ -548,35 +548,38 @@ std::uint64_t Comm::allreduce_sum_u64(std::uint64_t v) {
 WorldStats run_world(int nranks, const WorldOptions& options,
                      const std::function<void(Comm&)>& fn) {
   World world(nranks, options);
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(nranks));
   std::exception_ptr first_error = nullptr;
   std::mutex error_m;
-  for (int r = 0; r < nranks; ++r) {
-    threads.emplace_back([&, r] {
-      Comm comm(&world, r);
-      try {
-        fn(comm);
-        world.mark_exited(r);
-      } catch (const RankKilled&) {
-        // Scripted death: recorded by fault_point. Under announce_death the
-        // rank is already marked gone; a silent death leaves no trace here —
-        // the zombie is for the heartbeat detector to find.
-      } catch (const CommError& e) {
-        // Collateral abort: this rank was blocked on a failure elsewhere (or
-        // hit its own deadline). Not a program error — folded into the
-        // post-join WorldFailure.
-        world.record_abort(e.kind());
-        world.mark_exited(r);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(error_m);
-          if (!first_error) first_error = std::current_exception();
-        }
-        world.mark_exited(r);
+  const auto rank_main = [&](int r) {
+    Comm comm(&world, r);
+    try {
+      fn(comm);
+      world.mark_exited(r);
+    } catch (const RankKilled&) {
+      // Scripted death: recorded by fault_point. Under announce_death the
+      // rank is already marked gone; a silent death leaves no trace here —
+      // the zombie is for the heartbeat detector to find.
+    } catch (const CommError& e) {
+      // Collateral abort: this rank was blocked on a failure elsewhere (or
+      // hit its own deadline). Not a program error — folded into the
+      // post-join WorldFailure.
+      world.record_abort(e.kind());
+      world.mark_exited(r);
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lock(error_m);
+        if (!first_error) first_error = std::current_exception();
       }
-    });
-  }
+      world.mark_exited(r);
+    }
+  };
+  // Rank 0 runs on the calling thread: a one-rank world costs no thread, and
+  // rank 0's allocations stay in the caller's heap arena instead of a
+  // per-run thread's.
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(std::max(nranks - 1, 0)));
+  for (int r = 1; r < nranks; ++r) threads.emplace_back(rank_main, r);
+  if (nranks > 0) rank_main(0);
   for (std::thread& t : threads) t.join();
   if (first_error) std::rethrow_exception(first_error);
   if (world.failed()) throw world.make_failure();

@@ -192,7 +192,8 @@ class Comm {
   std::array<double, kNumTags> wait_by_tag_{};
 };
 
-// Runs `fn` on `nranks` concurrent ranks and joins them. The first exception
+// Runs `fn` on `nranks` concurrent ranks — rank 0 on the calling thread,
+// the others on threads of their own — and joins them. The first exception
 // thrown by any rank is rethrown after all ranks finish or abort — except
 // the fault paths: scripted kills (RankKilled) and the CommErrors they
 // cascade into are collected instead, and reported as one WorldFailure after

@@ -1,10 +1,9 @@
-// End-of-run gather shared by the partitioned-forest backends
-// (dist-particle, hybrid, dist-spatial): emission totals agree via
-// allreduce, every non-root rank sends its owned trees to rank 0 as binary
-// frames, and rank 0 folds the totals (plus a resumed checkpoint's) into the
-// gathered forest. Extracted so the three backends' gather semantics —
-// including the easy-to-miss resume-emitted re-add — stay provably
-// identical.
+// End-of-run gather shared by the partitioned-forest loops (the particle
+// engine and dist-spatial): emission totals agree via allreduce, every
+// non-root rank sends its owned trees to rank 0 as binary frames, and rank 0
+// folds the totals (plus a resumed checkpoint's) into the gathered forest.
+// Extracted so both loops' gather semantics — including the easy-to-miss
+// resume-emitted re-add — stay provably identical.
 #pragma once
 
 #include <vector>

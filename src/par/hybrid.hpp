@@ -1,57 +1,58 @@
-// Hybrid decomposition — the engine's `hybrid` backend: message passing
-// between groups, shared memory within them.
+// The particle engine: the paper's shared-memory Photon (Fig 5.2), its
+// distributed Photon (Fig 5.3) and their composition on a cluster of
+// multiprocessors, as one window loop. The registry runs it under three
+// names (engine/backend.cpp): `shared` is shape 1×workers, `dist-particle`
+// is workers×1, and `hybrid` is groups×workers.
 //
-// The paper's target machine is a cluster of multiprocessor nodes: MPI
-// between boxes, threads inside each box. This backend composes the existing
-// decompositions the same way — `config.groups` MiniMPI ranks ("boxes"),
-// each running `config.workers` shared-memory threads — on top of the
-// dist-particle substrate: geometry replicated, bin forest partitioned
-// across groups by the probe-driven load balancer, foreign records routed
-// through RouterSink/WireBuffer into the split-phase all-to-all, trees
-// gathered to rank 0 as binary frames.
+// `config.groups` MiniMPI ranks ("boxes") each run `config.workers`
+// shared-memory threads. Geometry is replicated; the bin forest is
+// partitioned across groups by the probe-driven load balancer (one group
+// owns every tree and skips the probe); foreign records travel through
+// OrderedRouterSink/WireBuffer into the split-phase all-to-all, and trees
+// gather to rank 0 as binary frames.
 //
-// Determinism contract (the reason this backend exists beyond throughput):
-// the populated forest is bitwise identical for EVERY (groups × threads)
-// shape, chunk size, and steal interleaving, and equal to the serial
-// photon-stream reference (RunConfig::photon_streams). Three mechanisms
-// compose to guarantee it:
+// Determinism contract: the populated forest is bitwise identical for EVERY
+// groups × threads shape, window size, chunk size, steal interleaving and
+// resume point, and equal to the serial reference (sim/simulator.hpp).
+// Three mechanisms compose to guarantee it:
 //
 //   1. Per-photon RNG streams (core/rng.hpp photon_stream): photon i's path
 //      is a pure function of (scene, seed, i), whoever traces it.
-//   2. Contiguous id slices, chunked scheduling: each batch window of ids is
-//      split contiguously across groups; each group cuts its slice into a
-//      `config.chunk`-photon chunk grid that its persistent WorkerPool
-//      (engine/pool.hpp, one pool per group, spawned once per run) schedules
-//      dynamically — idle workers claim and steal chunks. Chunk-private
-//      record buffers are drained in ascending chunk order, so a group emits
-//      its window's records in ascending photon-id order regardless of which
-//      worker traced which chunk when.
-//   3. Canonical batch application (OrderedRouterSink::apply_batch): a
+//   2. Contiguous id slices, chunked scheduling: each window of ids is split
+//      contiguously across groups; each group cuts its slice into a
+//      `config.chunk`-photon chunk grid that its WorkerPool schedules
+//      dynamically. Chunk-private record buffers are read in ascending chunk
+//      order, so a group's window records come out in ascending photon-id
+//      order whichever worker traced which chunk.
+//   3. Canonical window application (OrderedRouterSink::apply_batch): a
 //      window's records apply to the owner trees in source-group order —
-//      which, with contiguous slices, IS global photon-id order. Tracing
-//      never reads the forest, so the one-batch-deep exchange overlap
-//      cannot perturb any path.
+//      with contiguous slices, global photon-id order — on the group's pool
+//      in `workers` parts of disjoint trees. Windows apply in order, so every
+//      tree sees its records in global id order whatever the window size:
+//      window size, `adapt_batch` and leg boundaries cannot move a bit.
+//      Tracing never reads the forest, so the one-window-deep exchange
+//      overlap cannot perturb any path.
 //
-// Resume folds a checkpoint into the partitioned trees (BinForest::merge)
-// and continues the photon-id sequence — a bitwise continuation of an
-// uninterrupted run whenever the first leg ended on a batch-window boundary
-// (photons % batch == 0), and an exact id-sequence continuation otherwise.
-//
-// `config.adapt_batch` is deliberately ignored: adaptive windows are sized
-// from wall-clock rates, which would make the batch schedule — and with it
-// the forest's split timing — irreproducible. Hybrid always uses fixed
-// `config.batch`-photon global windows.
+// One group runs on WorkerPool::instance() (the photon service shares it
+// across jobs) and applies each window right after tracing it — there is no
+// exchange to overlap. Several groups each spawn a private team once per
+// run, so the G groups' windows schedule concurrently.
 #pragma once
 
 #include "engine/backend.hpp"
 
 namespace photon {
 
-// Runs the hybrid simulation on `config.groups` MiniMPI ranks, each tracing
-// its id slices with `config.workers` threads. `config.batch` is the GLOBAL
-// ids-per-window size (not per rank), so the batch schedule — and hence the
-// bitwise result — is independent of the shape.
+// Runs `config.photons` photons on `config.groups` × `config.workers`.
+// `config.batch` is the GLOBAL ids-per-window size; with `config.adapt_batch`
+// the BatchController sizes each group's slice instead (every group reads
+// the same agreed window time, so all agree and the window is groups ×
+// size). A `resume` result — a checkpoint from any backend — is adopted
+// (one group) or folded into the partitioned trees, and the photon-id
+// sequence continues where it stopped: a bitwise continuation of an
+// uninterrupted run at any leg boundary. `label` names the run's progress
+// ticks.
 RunResult run_hybrid(const Scene& scene, const RunConfig& config,
-                     const RunResult* resume = nullptr);
+                     const RunResult* resume = nullptr, const char* label = "hybrid");
 
 }  // namespace photon

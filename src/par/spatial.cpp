@@ -12,7 +12,6 @@
 #include "mp/minimpi.hpp"
 #include "par/gather.hpp"
 #include "sim/emitter.hpp"
-#include "sim/simulator.hpp"
 
 namespace photon {
 
@@ -105,17 +104,6 @@ int region_of(const std::vector<Aabb>& regions, const Vec3& p) {
     if (interior_hi) return static_cast<int>(i);
   }
   return fallback;
-}
-
-RunResult run_photon_streams(const Scene& scene, const RunConfig& config) {
-  // One owner for the per-photon-stream reference: this is run_serial's
-  // photon_streams mode (the same loop the conformance suite pins hybrid and
-  // spatial against), kept under its historical name for the spatial tests.
-  RunConfig reference = config;
-  reference.photon_streams = true;
-  reference.rank = 0;
-  reference.nranks = 1;
-  return run_serial(scene, reference);
 }
 
 namespace {
@@ -264,6 +252,7 @@ RunResult run_spatial(const Scene& scene, const RunConfig& config, const RunResu
     ChannelCounts emitted{};
     std::vector<PhotonFlight> inbox;
     std::uint64_t next_emission = first_photon + static_cast<std::uint64_t>(rank);
+    PhotonStreamCursor streams(config.seed, next_emission, static_cast<std::uint64_t>(P));
     std::uint64_t global_injected = 0;  // rank 0's running emission total
 
     // Owned records are tallied as they are produced; foreign records
@@ -332,7 +321,7 @@ RunResult run_spatial(const Scene& scene, const RunConfig& config, const RunResu
       std::uint64_t injected = 0;
       while (!stopping && injected < config.batch && next_emission < last_photon) {
         PhotonFlight flight;
-        flight.rng = photon_stream(config.seed, next_emission);
+        flight.rng = streams.next();
         const EmissionSample emission = emitter.emit(flight.rng);
         ++emitted[static_cast<std::size_t>(emission.channel)];
         ++counters.emitted;

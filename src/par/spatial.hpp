@@ -38,21 +38,11 @@ std::vector<Aabb> partition_space(const Scene& scene, int nranks);
 // points resolve to exactly one region); -1 when outside all regions.
 int region_of(const std::vector<Aabb>& regions, const Vec3& p);
 
-// The per-photon RNG stream (a disjoint block of the global LCG sequence)
-// lives in core/rng.hpp as photon_stream(): it is now shared by this backend,
-// the hybrid backend, and the serial `photon_streams` reference mode.
-
 // Runs the distributed-geometry simulation on `config.workers` MiniMPI ranks.
 // A `resume` result (a loaded checkpoint) is folded into the partitioned
 // trees, and photon ids continue where the checkpoint stopped — the resumed
 // leg draws the exact continuation of the same global per-photon streams.
 RunResult run_spatial(const Scene& scene, const RunConfig& config,
                       const RunResult* resume = nullptr);
-
-// Reference implementation: traces the same per-photon streams against the
-// full (replicated) octree. run_spatial must reproduce its per-patch tallies.
-// Delegates to run_serial's photon_streams mode, so the spatial and hybrid
-// backends are pinned against one reference implementation.
-RunResult run_photon_streams(const Scene& scene, const RunConfig& config);
 
 }  // namespace photon

@@ -162,16 +162,9 @@ struct PhotonService::Impl {
       std::uint64_t estimate = 0;
       try {
         scene = resident_scene(job.spec);
-        estimate = admission_estimate_bytes(*scene, job.spec.config,
-                                            job.spec.config.sink_buffer);
-        if (config.memory_budget != 0 && estimate > config.memory_budget) {
-          // Rung 1 of the ladder (bitwise-neutral); rung 2 would rebuild the
-          // shared accel and is off the table for a resident scene.
-          job.spec.config.sink_buffer =
-              std::min<std::uint64_t>(std::max<std::uint64_t>(job.spec.config.sink_buffer, 1), 16);
-          estimate = admission_estimate_bytes(*scene, job.spec.config,
-                                              job.spec.config.sink_buffer);
-        }
+        // No degradation: rung 2 would rebuild the shared accel, which is off
+        // the table for a resident scene.
+        estimate = admission_estimate_bytes(*scene, job.spec.config);
       } catch (const EngineError& e) {
         finish(job, JobState::kFailed, e.what());
         continue;

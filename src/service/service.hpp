@@ -26,12 +26,11 @@
 //                job's control.
 //
 //   Admission    Each job is admitted against the service-wide memory budget
-//                before it starts: shrink the sink buffers (bitwise-neutral),
-//                then refuse jobs whose coarsest plan alone exceeds the
-//                budget; admissible jobs WAIT until enough reserved bytes
-//                free up. The accel-coarsening rung of govern_admission is
-//                deliberately not applied — it would rebuild a resident
-//                scene other jobs are reading.
+//                before it starts: jobs whose estimate alone exceeds the
+//                budget are refused; admissible jobs WAIT until enough
+//                reserved bytes free up. The accel-coarsening rung of
+//                govern_admission is deliberately not applied — it would
+//                rebuild a resident scene other jobs are reading.
 //
 // Determinism contract: a job's result is bitwise identical to the same
 // RunConfig executed solo via the CLI — scheduling (ticket order, steals,

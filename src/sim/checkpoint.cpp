@@ -12,25 +12,23 @@
 namespace photon {
 
 namespace {
-// Version 3 ("PHOTNCK3"): the payload is length-prefixed and XXH64
-// checksummed, and carries a per-rank RNG section (dist-particle's bitwise
-// resume) between the counters and the forest. Version-1 files ("PHOTONCK",
-// no length, no checksum) and version-2 files ("PHOTNCK2", FNV-1a-64) are
-// rejected as old versions: one format, one checksum path.
-constexpr std::uint64_t kCheckpointMagic = 0x50484F544E434B33ULL;    // "PHOTNCK3"
+// Version 4 ("PHOTNCK4"): the payload is length-prefixed and XXH64
+// checksummed and holds the counters and the forest. Version-1 ("PHOTONCK",
+// no length, no checksum), version-2 ("PHOTNCK2", FNV-1a-64) and version-3
+// ("PHOTNCK3", per-rank RNG words) files are rejected as old versions: one
+// format, one checksum path.
+constexpr std::uint64_t kCheckpointMagic = 0x50484F544E434B34ULL;    // "PHOTNCK4"
+constexpr std::uint64_t kCheckpointMagicV3 = 0x50484F544E434B33ULL;  // "PHOTNCK3"
 constexpr std::uint64_t kCheckpointMagicV2 = 0x50484F544E434B32ULL;  // "PHOTNCK2"
 constexpr std::uint64_t kCheckpointMagicV1 = 0x50484F544F4E434BULL;  // "PHOTONCK"
 
 constexpr std::size_t kHeaderBytes = 2 * sizeof(std::uint64_t);  // magic, payload length
 constexpr std::size_t kChecksumBytes = sizeof(std::uint64_t);
-// RNG state (3 words), counters (5), rank count; then 3 words per rank.
-constexpr std::size_t kFixedPayloadBytes = 9 * sizeof(std::uint64_t);
-constexpr std::size_t kRankBytes = 3 * sizeof(std::uint64_t);
+constexpr std::size_t kCounterBytes = 5 * sizeof(std::uint64_t);
 
-// Caps keep a corrupt length/count field from turning into a giant
-// allocation before the checksum can reject it.
+// Caps a corrupt length field before it can turn into a giant allocation
+// ahead of the checksum check.
 constexpr std::uint64_t kMaxPayloadBytes = 1ULL << 33;  // 8 GiB
-constexpr std::uint64_t kMaxRanks = 1ULL << 16;
 
 constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
 constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
@@ -56,24 +54,15 @@ std::uint64_t xxh_merge(std::uint64_t h, std::uint64_t acc) {
 }
 
 Bytes encode_checkpoint(const RunResult& result) {
-  const std::size_t payload = kFixedPayloadBytes + result.ranks.size() * kRankBytes +
-                              result.forest.serialized_bytes();
+  const std::size_t payload = kCounterBytes + result.forest.serialized_bytes();
   Bytes out;
   out.reserve(kHeaderBytes + payload + kChecksumBytes);
   put_raw(out, kCheckpointMagic);
   put_raw<std::uint64_t>(out, payload);
   for (const std::uint64_t v :
-       {result.rng_state, result.rng_mul, result.rng_add, result.counters.emitted,
-        result.counters.bounces, result.counters.absorbed, result.counters.escaped,
-        result.counters.terminated, std::uint64_t{result.ranks.size()}}) {
+       {result.counters.emitted, result.counters.bounces, result.counters.absorbed,
+        result.counters.escaped, result.counters.terminated}) {
     put_raw(out, v);
-  }
-  // Per-rank generator states (zeros for backends without per-rank streams;
-  // the resume path ignores entries with rng_mul == 0).
-  for (const RankReport& rank : result.ranks) {
-    put_raw(out, rank.rng_state);
-    put_raw(out, rank.rng_mul);
-    put_raw(out, rank.rng_add);
   }
   result.forest.save(out);
   put_raw(out, xxh64(out.data() + kHeaderBytes, payload));
@@ -84,7 +73,8 @@ CheckpointStatus decode_header(const std::uint8_t*& p, const std::uint8_t* end,
                                std::uint64_t& length) {
   std::uint64_t magic = 0;
   if (!get_raw(p, end, magic) || magic != kCheckpointMagic) {
-    return magic == kCheckpointMagicV1 || magic == kCheckpointMagicV2
+    return magic == kCheckpointMagicV1 || magic == kCheckpointMagicV2 ||
+                   magic == kCheckpointMagicV3
                ? CheckpointStatus::kOldVersion
                : CheckpointStatus::kBadMagic;
   }
@@ -105,25 +95,12 @@ CheckpointStatus decode_body(const std::uint8_t* p, const std::uint8_t* end,
     return CheckpointStatus::kChecksumMismatch;
   }
 
-  std::uint64_t nranks = 0;
-  if (!get_raw(p, payload_end, result.rng_state) || !get_raw(p, payload_end, result.rng_mul) ||
-      !get_raw(p, payload_end, result.rng_add) ||
-      !get_raw(p, payload_end, result.counters.emitted) ||
+  if (!get_raw(p, payload_end, result.counters.emitted) ||
       !get_raw(p, payload_end, result.counters.bounces) ||
       !get_raw(p, payload_end, result.counters.absorbed) ||
       !get_raw(p, payload_end, result.counters.escaped) ||
-      !get_raw(p, payload_end, result.counters.terminated) || !get_raw(p, payload_end, nranks) ||
-      nranks > kMaxRanks) {
+      !get_raw(p, payload_end, result.counters.terminated)) {
     return CheckpointStatus::kBadHeader;
-  }
-  if (nranks > static_cast<std::uint64_t>(payload_end - p) / kRankBytes) {
-    return CheckpointStatus::kBadRankSection;
-  }
-  result.ranks.assign(static_cast<std::size_t>(nranks), RankReport{});
-  for (RankReport& rank : result.ranks) {  // in bounds: checked just above
-    get_raw(p, payload_end, rank.rng_state);
-    get_raw(p, payload_end, rank.rng_mul);
-    get_raw(p, payload_end, rank.rng_add);
   }
   result.forest = BinForest::load(p, payload_end);
   return result.forest.tree_count() == 0 ? CheckpointStatus::kBadForest : CheckpointStatus::kOk;
@@ -193,7 +170,6 @@ const char* checkpoint_status_name(CheckpointStatus status) {
     case CheckpointStatus::kTruncated: return "truncated";
     case CheckpointStatus::kChecksumMismatch: return "checksum-mismatch";
     case CheckpointStatus::kBadHeader: return "bad-header";
-    case CheckpointStatus::kBadRankSection: return "bad-rank-section";
     case CheckpointStatus::kBadForest: return "bad-forest";
   }
   return "unknown";

@@ -2,21 +2,22 @@
 // any backend's RunResult.
 //
 // The paper's production runs simulated billions of photons over hours; a
-// checkpoint captures the bin forest (already the "answer file"), the trace
-// counters, the raw RNG state, and each rank's generator state, so
-// dist-particle resumes continue every stream in place. Resuming through a
-// backend that reports supports_resume() adopts all of it; the `serial`,
-// `hybrid` and (at matching rank count) `dist-particle` continuations are
-// bitwise identical to an uninterrupted run (verified by the test suite).
+// checkpoint captures the bin forest (already the "answer file") and the
+// trace counters. Photon i's random numbers follow from its index alone
+// (core/rng.hpp), so the emitted count is the whole RNG state: resuming
+// through a backend that reports supports_resume() continues the id
+// sequence, and the `serial` and particle-engine continuations are bitwise
+// identical to an uninterrupted run (verified by the test suite).
 //
-// The v3 byte format is [magic "PHOTNCK3"][u64 payload length][payload]
-// [u64 XXH64 of the payload]. The whole checkpoint is encoded into one
-// buffer and written with one write, and a path load reads the whole file
-// into one buffer and decodes it in place. A truncated or bit-flipped
-// checkpoint fails the length or checksum test and load_checkpoint returns
-// false — a multi-hour run must never silently resume from damaged state.
-// v1 ("PHOTONCK") and v2 ("PHOTNCK2", FNV-1a-64) files are rejected as
-// old-version.
+// The v4 byte format is [magic "PHOTNCK4"][u64 payload length][payload]
+// [u64 XXH64 of the payload], the payload being five counter words and the
+// forest. The whole checkpoint is encoded into one buffer and written with
+// one write, and a path load reads the whole file into one buffer and
+// decodes it in place. A truncated or bit-flipped checkpoint fails the
+// length or checksum test and load_checkpoint returns false — a multi-hour
+// run must never silently resume from damaged state. v1 ("PHOTONCK"), v2
+// ("PHOTNCK2", FNV-1a-64) and v3 ("PHOTNCK3", with per-rank RNG words) files
+// are rejected as old-version.
 #pragma once
 
 #include <cstddef>
@@ -34,12 +35,11 @@ enum class CheckpointStatus {
   kOk,
   kOpenFailed,         // path could not be opened
   kBadMagic,           // not a checkpoint at all
-  kOldVersion,         // v1 or v2 magic: a superseded format, rejected by design
+  kOldVersion,         // v1, v2 or v3 magic: a superseded format, rejected by design
   kBadLength,          // length field exceeds the payload cap
   kTruncated,          // input ended before the declared payload and checksum
   kChecksumMismatch,   // payload bytes fail the XXH64 check
-  kBadHeader,          // verified payload too short for counters/rank count
-  kBadRankSection,     // rank count implies more state than the payload holds
+  kBadHeader,          // verified payload too short for the counters
   kBadForest,          // forest section malformed or empty
 };
 

@@ -8,25 +8,10 @@ namespace photon {
 RunResult run_serial(const Scene& scene, const RunConfig& config,
                      const RunResult* resume_from) {
   RunResult result;
-  // In photon-stream mode ids index disjoint RNG blocks; a resumed leg simply
-  // continues the id sequence, which is inherently a bitwise continuation.
-  std::uint64_t next_photon = resume_from ? resume_from->counters.emitted : 0;
-  Lcg48 rng(config.seed, config.rank, config.nranks);
+  const std::uint64_t first_photon = resume_from ? resume_from->counters.emitted : 0;
   if (resume_from) {
     result.forest = resume_from->forest;
     result.counters = resume_from->counters;
-    if (config.photon_streams) {
-      // next_photon carries the whole continuation state.
-    } else if (resume_from->rng_mul != 0) {
-      rng.set_raw(resume_from->rng_state, resume_from->rng_mul, resume_from->rng_add);
-    } else {
-      // Checkpoint from a backend with no single generator state (shared,
-      // dist-*): adopting raw zeros would degenerate the LCG to a constant
-      // stream. Continue on a disjoint block of the global sequence instead,
-      // far past anything the first leg can have drawn (same 4096-element
-      // blocks as the per-photon streams).
-      rng.skip(resume_from->counters.emitted * kPhotonStreamBlock);
-    }
   } else {
     result.forest = BinForest(scene.patch_count(), config.policy);
   }
@@ -36,8 +21,8 @@ RunResult run_serial(const Scene& scene, const RunConfig& config,
   const Tracer tracer(scene, config.limits);
   ForestSink sink(result.forest);
 
-  SpeedSampler sampler(config.trace_path,
-                       resume_from ? resume_from->counters.emitted : 0);
+  SpeedSampler sampler(config.trace_path, first_photon);
+  PhotonStreamCursor streams(config.seed, first_photon);
   BatchController controller(config.batch_policy);
   std::uint64_t done = 0;
   double prev_t = 0.0;
@@ -46,7 +31,7 @@ RunResult run_serial(const Scene& scene, const RunConfig& config,
     if (batch > config.photons - done) batch = config.photons - done;
     if (batch == 0) batch = 1;
     for (std::uint64_t i = 0; i < batch; ++i) {
-      if (config.photon_streams) rng = photon_stream(config.seed, next_photon++);
+      Lcg48 rng = streams.next();
       const EmissionSample emission = emitter.emit(rng);
       result.forest.add_emitted(emission.channel);
       tracer.trace(emission, rng, sink, &result.counters);
@@ -62,7 +47,6 @@ RunResult run_serial(const Scene& scene, const RunConfig& config,
     }
     prev_t = t;
     progress_tick(config, "serial", done);
-    if (config.max_seconds > 0.0 && t >= config.max_seconds) break;
     if (config.governed) {
       if (preempt_requested(config)) {
         acknowledge_preempt(config);
@@ -86,9 +70,6 @@ RunResult run_serial(const Scene& scene, const RunConfig& config,
     result.ranks[0].traced = done;
     result.ranks[0].batch_sizes = controller.history();
   }
-  result.rng_state = rng.state();
-  result.rng_mul = rng.stride_mul();
-  result.rng_add = rng.stride_add();
   return result;
 }
 

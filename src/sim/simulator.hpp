@@ -12,14 +12,12 @@
 namespace photon {
 
 // Runs the serial simulation of Fig 4.1 and returns the populated forest.
-// When `resume_from` is non-null, continues that run: its forest, counters
-// and RNG state are adopted and `config.photons` *additional* photons are
-// simulated — bitwise identical to having run them in one go.
-//
-// With `config.photon_streams` set, each photon draws from its own disjoint
-// RNG block (core/rng.hpp photon_stream) instead of one continuous stream:
-// the conformance reference for the shape-invariant backends. Resume then
-// continues the photon-id sequence — also a bitwise continuation.
+// Photon i draws from its own disjoint RNG block (core/rng.hpp
+// photon_stream) and tallies straight into the forest in id order: the
+// bitwise reference every parallel shape is pinned against. When
+// `resume_from` is non-null its forest and counters are adopted and
+// `config.photons` *additional* photons continue the id sequence — bitwise
+// identical to having run them in one go.
 RunResult run_serial(const Scene& scene, const RunConfig& config,
                      const RunResult* resume_from = nullptr);
 

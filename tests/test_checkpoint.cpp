@@ -15,7 +15,6 @@
 #include <unistd.h>
 
 #include "geom/scenes.hpp"
-#include "par/dist.hpp"
 
 namespace photon {
 namespace {
@@ -35,7 +34,6 @@ TEST(Checkpoint, ResumeIsBitwiseIdenticalToStraightRun) {
   EXPECT_TRUE(resumed.forest == straight.forest);
   EXPECT_EQ(resumed.counters.emitted, straight.counters.emitted);
   EXPECT_EQ(resumed.counters.bounces, straight.counters.bounces);
-  EXPECT_EQ(resumed.rng_state, straight.rng_state);
 }
 
 TEST(Checkpoint, ManySmallLegsEqualOneBigRun) {
@@ -63,8 +61,7 @@ TEST(Checkpoint, StreamRoundTrip) {
   RunResult loaded;
   ASSERT_TRUE(load_checkpoint(buf, loaded));
   EXPECT_TRUE(loaded.forest == r.forest);
-  EXPECT_EQ(loaded.rng_state, r.rng_state);
-  EXPECT_EQ(loaded.rng_mul, r.rng_mul);
+  EXPECT_EQ(loaded.counters.emitted, r.counters.emitted);
   EXPECT_EQ(loaded.counters.bounces, r.counters.bounces);
 }
 
@@ -97,30 +94,6 @@ TEST(Checkpoint, RejectsGarbage) {
 TEST(Checkpoint, RejectsMissingFile) {
   RunResult r;
   EXPECT_FALSE(load_checkpoint("/nonexistent_zzz/photon.ck", r));
-}
-
-TEST(Checkpoint, RoundTripsPerRankRngState) {
-  // The format carries each rank's generator state — what dist-particle's
-  // bitwise resume restores (the resume itself is pinned in test_dist).
-  const Scene s = scenes::cornell_box();
-  RunConfig cfg;
-  cfg.photons = 2000;
-  cfg.workers = 3;
-  cfg.batch = 500;
-  cfg.adapt_batch = false;
-  const RunResult r = run_distributed(s, cfg);
-
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  save_checkpoint(r, buf);
-  RunResult loaded;
-  ASSERT_TRUE(load_checkpoint(buf, loaded));
-  ASSERT_EQ(loaded.ranks.size(), r.ranks.size());
-  for (std::size_t i = 0; i < r.ranks.size(); ++i) {
-    EXPECT_EQ(loaded.ranks[i].rng_state, r.ranks[i].rng_state) << "rank " << i;
-    EXPECT_EQ(loaded.ranks[i].rng_mul, r.ranks[i].rng_mul) << "rank " << i;
-    EXPECT_EQ(loaded.ranks[i].rng_add, r.ranks[i].rng_add) << "rank " << i;
-  }
-  EXPECT_TRUE(loaded.forest == r.forest);
 }
 
 // --- Fuzzing the loader: damaged bytes must be rejected cleanly — return
@@ -242,6 +215,11 @@ TEST(CheckpointStatusTest, ReportsEachDistinctFailure) {
   put_u64(v2, 0, 0x50484F544E434B32ULL);
   EXPECT_EQ(status_of(v2), CheckpointStatus::kOldVersion);
 
+  // v3 magic ("PHOTNCK3", per-rank RNG words): superseded, not garbage.
+  std::string v3 = valid;
+  put_u64(v3, 0, 0x50484F544E434B33ULL);
+  EXPECT_EQ(status_of(v3), CheckpointStatus::kOldVersion);
+
   std::string bad_length = valid;
   put_u64(bad_length, 8, (1ULL << 33) + 1);  // over the 8 GiB payload cap
   EXPECT_EQ(status_of(bad_length), CheckpointStatus::kBadLength);
@@ -253,25 +231,16 @@ TEST(CheckpointStatusTest, ReportsEachDistinctFailure) {
   flipped[100] = static_cast<char>(flipped[100] ^ 1);
   EXPECT_EQ(status_of(flipped), CheckpointStatus::kChecksumMismatch);
 
-  // Rank count claiming more per-rank state than the payload holds (payload
-  // offset 64, after 3 RNG words + 5 counters), re-sealed so it reaches the
-  // rank-section parse.
-  std::string bad_ranks = valid;
-  put_u64(bad_ranks, 16 + 64, 60000);  // < kMaxRanks, > what the payload holds
-  reseal(bad_ranks);
-  EXPECT_EQ(status_of(bad_ranks), CheckpointStatus::kBadRankSection);
+  // A sealed payload too short for the five counter words.
+  std::string short_header = valid.substr(0, 16 + 16 + 8);
+  put_u64(short_header, 8, 16);
+  reseal(short_header);
+  EXPECT_EQ(status_of(short_header), CheckpointStatus::kBadHeader);
 
-  // Header says more ranks than the format cap allows.
-  std::string over_cap = valid;
-  put_u64(over_cap, 16 + 64, 1ULL << 20);
-  reseal(over_cap);
-  EXPECT_EQ(status_of(over_cap), CheckpointStatus::kBadHeader);
-
-  // A sealed payload cut off right after the (zeroed) rank count: header
-  // parses, forest section is missing.
-  std::string no_forest = valid.substr(0, 16 + 72 + 8);
-  put_u64(no_forest, 8, 72);
-  put_u64(no_forest, 16 + 64, 0);  // nranks = 0
+  // A sealed payload cut off right after the counters: the header parses,
+  // the forest section is missing.
+  std::string no_forest = valid.substr(0, 16 + 40 + 8);
+  put_u64(no_forest, 8, 40);
   reseal(no_forest);
   EXPECT_EQ(status_of(no_forest), CheckpointStatus::kBadForest);
 
@@ -297,8 +266,7 @@ TEST(CheckpointStatusTest, NamesAreStable) {
   EXPECT_STREQ(checkpoint_status_name(CheckpointStatus::kOldVersion), "old-version");
   EXPECT_STREQ(checkpoint_status_name(CheckpointStatus::kChecksumMismatch),
                "checksum-mismatch");
-  EXPECT_STREQ(checkpoint_status_name(CheckpointStatus::kBadRankSection),
-               "bad-rank-section");
+  EXPECT_STREQ(checkpoint_status_name(CheckpointStatus::kBadForest), "bad-forest");
 }
 
 // --- Atomic writes: save_checkpoint(path) stages to <path>.tmp, fsyncs, and

@@ -6,14 +6,9 @@
 // The matrix is data-driven from contract_for(name): registering a new
 // backend automatically enrolls it in the determinism + conservation +
 // resume legs at default shapes; pinning it bitwise only requires adding its
-// contract here. Two reference kinds exist, matching the two RNG schemes:
-//
-//   kSerial        run_serial's continuous leapfrog stream — the backends
-//                  that replay that exact stream (shared@1, dist-particle@1)
-//   kPhotonStreams serial with RunConfig::photon_streams — per-photon
-//                  disjoint RNG blocks, the reference for the backends whose
-//                  answer is independent of their decomposition
-//                  (dist-spatial@1, hybrid at EVERY groups×threads shape)
+// contract here. One reference kind exists: the serial run, on per-photon
+// RNG streams. serial, shared, dist-particle and hybrid equal it at every
+// shape; dist-spatial at one rank.
 //
 // The suite is additionally parameterized over the acceleration structure
 // behind the AccelStructure seam: every backend runs the matrix on
@@ -33,6 +28,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/backend.hpp"
@@ -48,16 +44,10 @@ struct Shape {
   int workers = 1;
 };
 
-enum class Reference {
-  kNone,           // no bitwise pin at this shape (determinism/conservation only)
-  kSerial,         // bitwise == run_serial, continuous stream
-  kPhotonStreams,  // bitwise == run_serial with photon_streams
-};
-
 struct BackendContract {
-  std::vector<Shape> shapes;                 // every shape the matrix runs
-  Reference reference = Reference::kNone;    // pin kind...
-  bool reference_at_every_shape = false;     // ...at all shapes, or only 1x1
+  std::vector<Shape> shapes;             // every shape the matrix runs
+  bool bitwise_reference = false;        // == the serial run...
+  bool reference_at_every_shape = false; // ...at all shapes, or only 1x1
   bool resume_bitwise = false;  // leg1+leg2 == straight run, bit for bit
   // Repeated runs reproduce the forest bit for bit at every shape.
   bool repeat_bitwise_at_every_shape = true;
@@ -65,36 +55,27 @@ struct BackendContract {
 
 BackendContract contract_for(const std::string& name) {
   if (name == "serial") {
-    return {{{1, 1}}, Reference::kSerial, true, true, true};
+    return {{{1, 1}}, true, true, true, true};
   }
   if (name == "shared") {
-    // Pool-backed chunk scheduling (engine/pool.hpp): bitwise equal to the
-    // serial photon-stream reference at EVERY worker count — including the
-    // oversubscribed 1x8 — with bitwise resume and repeatability. The seed's
-    // leapfrog version pinned only totals at T > 1; this contract is
-    // strictly stronger.
-    return {{{1, 1}, {1, 2}, {1, 4}, {1, 8}}, Reference::kPhotonStreams, true, true, true};
+    // The particle engine at 1 × workers, the oversubscribed 1x8 included.
+    return {{{1, 1}, {1, 2}, {1, 4}, {1, 8}}, true, true, true, true};
   }
   if (name == "dist-particle") {
-    // Resume is bitwise at an unchanged shape with aligned batches — which
-    // is how the resume leg below runs every backend.
-    return {{{1, 1}, {1, 2}, {1, 4}}, Reference::kSerial, false, true, true};
+    // The particle engine at workers × 1.
+    return {{{1, 1}, {1, 2}, {1, 4}}, true, true, true, true};
   }
   if (name == "dist-spatial") {
-    return {{{1, 1}, {1, 2}, {1, 4}}, Reference::kPhotonStreams, false, false, true};
+    return {{{1, 1}, {1, 2}, {1, 4}}, true, false, false, true};
   }
   if (name == "hybrid") {
-    // The tentpole contract: bitwise-equal to the serial reference at every
-    // shape, pinned on all bundled scenes below.
-    return {{{1, 1}, {1, 4}, {2, 2}, {4, 1}, {4, 2}},
-            Reference::kPhotonStreams,
-            true,
-            true,
-            true};
+    // The particle engine at groups × workers, pinned on all bundled scenes
+    // below.
+    return {{{1, 1}, {1, 4}, {2, 2}, {4, 1}, {4, 2}}, true, true, true, true};
   }
   // A backend this table has never heard of still gets the full determinism,
   // conservation and resume-conservation matrix for free.
-  return {{{1, 1}, {1, 2}, {1, 4}}, Reference::kNone, false, false, true};
+  return {{{1, 1}, {1, 2}, {1, 4}}, false, false, false, true};
 }
 
 struct NamedScene {
@@ -147,17 +128,13 @@ RunResult run_named(const std::string& backend, const Scene& scene, const RunCon
   return b->run(scene, cfg, resume);
 }
 
-// The serial reference for one (kind, scene, budget) cell, computed once.
-const RunResult& reference_run(Reference kind, const NamedScene& cell) {
-  static std::map<std::pair<int, std::string>, RunResult> cache;
-  const std::pair<int, std::string> key{static_cast<int>(kind), cell.name};
-  const auto it = cache.find(key);
+// The serial reference for one (scene, budget) cell, computed once.
+const RunResult& reference_run(const NamedScene& cell) {
+  static std::map<std::string, RunResult> cache;
+  const auto it = cache.find(cell.name);
   if (it != cache.end()) return it->second;
-  RunConfig cfg = config_for({1, 1}, cell.photons);
-  cfg.photon_streams = kind == Reference::kPhotonStreams;
-  cfg.rank = 0;
-  cfg.nranks = 1;
-  return cache.emplace(key, run_serial(*cell.scene, cfg)).first->second;
+  return cache.emplace(cell.name, run_serial(*cell.scene, config_for({1, 1}, cell.photons)))
+      .first->second;
 }
 
 // (backend, acceleration structure) cell. Every backend runs with the
@@ -205,14 +182,14 @@ TEST_P(ConformanceTest, ConservesEmissionsAndRecords) {
 TEST_P(ConformanceTest, BitwiseEqualToTheSerialReference) {
   const auto& [backend, accel] = GetParam();
   const BackendContract contract = contract_for(backend);
-  if (contract.reference == Reference::kNone) {
+  if (!contract.bitwise_reference) {
     GTEST_SKIP() << backend << " contracts no bitwise reference shape";
   }
   for (const NamedScene& cell : bundled_scenes()) {
     // The reference is always the octree-built serial run: a non-octree cell
     // passing this pin means the structure's closest hits are bitwise-equal
     // through the whole simulation.
-    const RunResult& reference = reference_run(contract.reference, cell);
+    const RunResult& reference = reference_run(cell);
     const Scene& scene = scene_for(cell, accel);
     for (const Shape& shape : contract.shapes) {
       if (!contract.reference_at_every_shape && (shape.groups != 1 || shape.workers != 1)) {
@@ -240,8 +217,6 @@ TEST_P(ConformanceTest, ResumeContinuesAcrossALegBoundary) {
   const Scene& scene = scene_for(cell, accel);
   const Shape shape = contract.shapes.back();  // the widest shape
 
-  // Leg 1 ends on a batch boundary at every shape the matrix uses, so the
-  // backends that contract a bitwise continuation can deliver one.
   RunConfig leg1 = config_for(shape, 2000, accel);
   RunConfig leg2 = config_for(shape, 1000, accel);
   RunConfig straight = config_for(shape, 3000, accel);
@@ -257,10 +232,10 @@ TEST_P(ConformanceTest, ResumeContinuesAcrossALegBoundary) {
   }
 }
 
-// Every backend × octree, plus a cross-structure band: one backend per RNG
-// scheme (serial = continuous stream, shared = pool-scheduled photon
-// streams, dist-spatial = per-region local indexes rebuilt from
-// RunConfig::accel) × {bvh, grid}.
+// Every backend × octree, plus a cross-structure band: serial (the
+// reference loop), shared (the pool-scheduled particle engine) and
+// dist-spatial (per-region local indexes rebuilt from RunConfig::accel) ×
+// {bvh, grid}.
 std::vector<ConformanceParam> conformance_cells() {
   std::vector<ConformanceParam> cells;
   for (const std::string& backend : backend_names()) {
@@ -282,12 +257,9 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ConformanceTest,
                          });
 
 // --- Elastic resume across a CHANGED shape: checkpoint at width P0, resume
-// at width P1 through the checkpoint byte-format round-trip. Conservation holds for
-// every (P0, P1) cell; bitwise equality where the RNG scheme is
-// shape-invariant — hybrid everywhere (per-photon streams), dist-particle
-// only at an unchanged width with aligned batches (its leapfrog streams are
-// shape-bound; at a changed width the resume degrades to disjoint-block
-// streams, the conservative re-trace).
+// at width P1 through the checkpoint byte-format round-trip. Conservation
+// holds for every (P0, P1) cell; bitwise equality wherever the answer is
+// shape-invariant — the particle engine (dist-particle, hybrid) everywhere.
 class ElasticResumeTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ElasticResumeTest, CheckpointAtOneWidthResumesAtAnother) {
@@ -306,7 +278,7 @@ TEST_P(ElasticResumeTest, CheckpointAtOneWidthResumesAtAnother) {
         const Shape shape1 = width_is_groups ? Shape{P1, 2} : Shape{1, P1};
         RunConfig leg1 = config_for(shape0, leg1_photons);
         RunConfig leg2 = config_for(shape1, leg2_photons);
-        leg1.batch = 100;  // aligned: leg1 ends on a batch boundary at every P0
+        leg1.batch = 100;
         leg2.batch = 100;
         const RunResult first = run_named(backend, *cell.scene, leg1);
 
@@ -324,8 +296,7 @@ TEST_P(ElasticResumeTest, CheckpointAtOneWidthResumesAtAnother) {
                   resumed.counters.emitted + resumed.counters.bounces)
             << label;
 
-        const bool bitwise = width_is_groups || (backend == "dist-particle" && P0 == P1);
-        if (bitwise) {
+        if (backend != "dist-spatial") {
           RunConfig straight_cfg = config_for(shape1, total);
           straight_cfg.batch = 100;
           const RunResult straight = run_named(backend, *cell.scene, straight_cfg);
@@ -345,6 +316,75 @@ INSTANTIATE_TEST_SUITE_P(DistributedBackends, ElasticResumeTest,
                            return name;
                          });
 
+// --- Resume at ANY leg boundary: a leg may end mid-window (the elastic
+// runner cuts legs at any photon count, and a governed stop ends one
+// wherever the window ends), and the continuation must still equal the
+// uninterrupted run bit for bit — on serial and every particle-engine name,
+// at every shape, on every bundled scene.
+std::vector<Shape> leg_resume_shapes(const std::string& backend) {
+  if (backend == "serial") return {{1, 1}};
+  if (backend == "shared") return {{1, 1}, {1, 2}};
+  if (backend == "dist-particle") return {{1, 1}, {1, 2}, {1, 4}};
+  std::vector<Shape> shapes;
+  for (const int G : {1, 2, 4}) {
+    for (const int T : {1, 2}) shapes.push_back({G, T});
+  }
+  return shapes;
+}
+
+class LegBoundaryResumeTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(LegBoundaryResumeTest, AnyLegBoundaryResumesBitwise) {
+  const std::string backend = GetParam();
+  constexpr std::uint64_t kTotal = 2000;  // four windows of 500
+  for (const NamedScene& cell : bundled_scenes()) {
+    const RunResult straight = run_serial(*cell.scene, config_for({1, 1}, kTotal));
+    for (const Shape& shape : leg_resume_shapes(backend)) {
+      for (const std::uint64_t leg1_photons : {1ull, 333ull, 1234ull, 1999ull}) {
+        const std::string label = backend + " " + cell.name + " @ " +
+                                  std::to_string(shape.groups) + "x" +
+                                  std::to_string(shape.workers) + " leg1=" +
+                                  std::to_string(leg1_photons);
+        const RunResult first =
+            run_named(backend, *cell.scene, config_for(shape, leg1_photons));
+        const RunResult resumed = run_named(
+            backend, *cell.scene, config_for(shape, kTotal - leg1_photons), &first);
+        EXPECT_TRUE(resumed.forest == straight.forest) << label;
+        EXPECT_EQ(resumed.counters.bounces, straight.counters.bounces) << label;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SerialAndParticleNames, LegBoundaryResumeTest,
+                         ::testing::Values("serial", "shared", "dist-particle", "hybrid"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           std::string name = info.param;
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
+
+TEST(ConformanceAdaptive, AdaptiveWindowsEqualTheSerialRun) {
+  // Adaptive window sizes follow wall-clock rates, so the window schedule
+  // differs from run to run. Records apply in photon-id order at every
+  // window size, so the answer cannot.
+  const NamedScene& cell = bundled_scenes()[0];
+  const RunResult& reference = reference_run(cell);
+  const std::vector<std::pair<std::string, Shape>> cells = {
+      {"dist-particle", {1, 2}}, {"dist-particle", {1, 4}}, {"shared", {1, 4}}};
+  for (const auto& [backend, shape] : cells) {
+    RunConfig cfg = config_for(shape, cell.photons);
+    cfg.adapt_batch = true;
+    cfg.batch_policy.initial = 100;  // several windows inside the budget
+    const RunResult r = run_named(backend, *cell.scene, cfg);
+    ASSERT_FALSE(r.ranks.empty()) << backend;
+    EXPECT_GT(r.ranks[0].batch_sizes.size(), 1u) << backend << " ran one window";
+    EXPECT_TRUE(r.forest == reference.forest)
+        << backend << " @ " << shape.groups << "x" << shape.workers << " with adapt_batch";
+    EXPECT_EQ(r.counters.bounces, reference.counters.bounces) << backend;
+  }
+}
+
 TEST(ConformanceOversubscribed, HybridBeyondHardwareThreadsStaysBitwise) {
   // groups × threads deliberately exceeds the machine's hardware threads:
   // heavy timeslicing must not perturb the canonical record order. CI runs
@@ -354,7 +394,7 @@ TEST(ConformanceOversubscribed, HybridBeyondHardwareThreadsStaysBitwise) {
   const NamedScene& cell = bundled_scenes()[0];
   const RunConfig cfg = config_for(shape, cell.photons);
   const RunResult r = run_named("hybrid", *cell.scene, cfg);
-  const RunResult& reference = reference_run(Reference::kPhotonStreams, cell);
+  const RunResult& reference = reference_run(cell);
   EXPECT_TRUE(r.forest == reference.forest)
       << "oversubscribed shape " << shape.groups << "x" << shape.workers;
 }

@@ -1,15 +1,23 @@
-#include "par/dist.hpp"
-
+// `dist-particle` — the particle engine at shape workers × 1 (Fig 5.3):
+// budget, ownership, the Table 5.2 processed counts, traffic, adaptive
+// batches, and the bitwise pin to the serial reference at every rank count,
+// batch size and resume shape.
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <tuple>
 
+#include "engine/backend.hpp"
 #include "geom/scenes.hpp"
 #include "sim/simulator.hpp"
 
 namespace photon {
 namespace {
+
+RunResult run_distributed(const Scene& scene, const RunConfig& cfg,
+                          const RunResult* resume = nullptr) {
+  return make_backend("dist-particle")->run(scene, cfg, resume);
+}
 
 class DistSimTest : public ::testing::TestWithParam<int> {};
 
@@ -29,10 +37,11 @@ TEST_P(DistSimTest, TracesTheGlobalBudget) {
   EXPECT_EQ(r.forest.emitted_total(), traced);
 }
 
-TEST_P(DistSimTest, MatchesUnionOfSerialLeapfrogRuns) {
+TEST_P(DistSimTest, MatchesTheSerialReferenceBitwise) {
   // The defining correctness property: distributing the bin forest must not
-  // change the answer. Rank r draws from stream (seed, r, P), so the gathered
-  // per-patch totals must equal the union of P serial leapfrog runs.
+  // change the answer. Every photon draws from its own stream and every
+  // window applies in photon-id order, so the gathered forest IS the serial
+  // run's, bit for bit.
   const int P = GetParam();
   const Scene s = scenes::cornell_box();
   RunConfig cfg;
@@ -41,25 +50,9 @@ TEST_P(DistSimTest, MatchesUnionOfSerialLeapfrogRuns) {
   cfg.batch = 500;
   cfg.workers = P;
   const RunResult dist = run_distributed(s, cfg);
-
-  std::vector<std::uint64_t> serial_tallies(s.patch_count(), 0);
-  for (int rank = 0; rank < P; ++rank) {
-    RunConfig sc;
-    sc.photons = 2000;
-    sc.seed = cfg.seed;
-    sc.rank = rank;
-    sc.nranks = P;
-    const RunResult r = run_serial(s, sc);
-    const auto tallies = r.forest.patch_tallies();
-    for (std::size_t p = 0; p < tallies.size(); ++p) serial_tallies[p] += tallies[p];
-  }
-
-  const auto dist_tallies = dist.forest.patch_tallies();
-  for (std::size_t p = 0; p < s.patch_count(); ++p) {
-    EXPECT_NEAR(static_cast<double>(dist_tallies[p]), static_cast<double>(serial_tallies[p]),
-                static_cast<double>(dist.forest.total_nodes()))
-        << "patch " << p;
-  }
+  const RunResult serial = run_serial(s, cfg);
+  EXPECT_TRUE(dist.forest == serial.forest) << "P=" << P;
+  EXPECT_EQ(dist.counters.bounces, serial.counters.bounces);
 }
 
 TEST_P(DistSimTest, OwnershipCoversEveryPatch) {
@@ -124,7 +117,9 @@ TEST(DistSim, NaiveAndBestFitBothCorrect) {
   naive.workers = 4;
   const RunResult rn = run_distributed(s, naive);
 
-  // Same photons traced either way; only the ownership differs.
+  // Same photons traced either way; only the ownership differs, and
+  // ownership never reaches a tree's record order.
+  EXPECT_TRUE(rb.forest == rn.forest);
   const auto tb = rb.forest.patch_tallies();
   const auto tn = rn.forest.patch_tallies();
   for (std::size_t p = 0; p < s.patch_count(); ++p) {
@@ -215,8 +210,7 @@ INSTANTIATE_TEST_SUITE_P(RanksAndBatches, DistDeterminismTest,
 class DistSerialEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DistSerialEquivalenceTest, OneRankIsBitwiseSerialAtAnyBatch) {
-  // The acceptance bar for the zero-copy/overlap rework: dist@1 stays
-  // bitwise identical to serial at every exchange threshold.
+  // dist@1 stays bitwise identical to serial at every exchange threshold.
   const Scene s = scenes::cornell_box();
   RunConfig cfg;
   cfg.photons = 1500;
@@ -224,13 +218,7 @@ TEST_P(DistSerialEquivalenceTest, OneRankIsBitwiseSerialAtAnyBatch) {
   cfg.batch = GetParam();
   cfg.workers = 1;
   const RunResult dist = run_distributed(s, cfg);
-
-  RunConfig sc;
-  sc.photons = cfg.photons;
-  sc.seed = cfg.seed;
-  sc.rank = 0;
-  sc.nranks = 1;
-  const RunResult serial = run_serial(s, sc);
+  const RunResult serial = run_serial(s, cfg);
   EXPECT_TRUE(dist.forest == serial.forest) << "batch=" << cfg.batch;
 }
 
@@ -238,10 +226,9 @@ INSTANTIATE_TEST_SUITE_P(Batches, DistSerialEquivalenceTest,
                          ::testing::Values(1u, 64u, 4096u));
 
 TEST(DistSim, ResumeAtSameShapeIsABitwiseContinuation) {
-  // The checkpoint carries every rank's exact generator state, and owned
-  // records apply in canonical batch order, so leg1 + leg2 at the same rank
-  // count — with leg1 ending on a batch boundary — reproduces an
-  // uninterrupted run bit for bit (the ROADMAP's dist-resume open item).
+  // The resumed leg continues the photon-id sequence and owned records apply
+  // in canonical window order, so leg1 + leg2 reproduces an uninterrupted
+  // run bit for bit.
   const Scene s = scenes::cornell_box();
   RunConfig leg1_cfg;
   leg1_cfg.photons = 2000;  // 2 rounds of 500 x 2 ranks
@@ -249,7 +236,6 @@ TEST(DistSim, ResumeAtSameShapeIsABitwiseContinuation) {
   leg1_cfg.batch = 500;
   leg1_cfg.workers = 2;
   const RunResult leg1 = run_distributed(s, leg1_cfg);
-  for (const RankReport& rep : leg1.ranks) ASSERT_NE(rep.rng_mul, 0u);
 
   RunConfig leg2_cfg = leg1_cfg;
   leg2_cfg.photons = 1000;
@@ -262,17 +248,11 @@ TEST(DistSim, ResumeAtSameShapeIsABitwiseContinuation) {
   EXPECT_TRUE(resumed.forest == straight.forest);
   EXPECT_EQ(resumed.counters.emitted, straight.counters.emitted);
   EXPECT_EQ(resumed.counters.bounces, straight.counters.bounces);
-  // And the continuation's end state matches too, so a chain of resumed legs
-  // keeps reproducing the uninterrupted run.
-  for (std::size_t r = 0; r < resumed.ranks.size(); ++r) {
-    EXPECT_EQ(resumed.ranks[r].rng_state, straight.ranks[r].rng_state) << "rank " << r;
-  }
 }
 
-TEST(DistSim, ResumeAtDifferentShapeFallsBackToDisjointStreams) {
-  // A checkpoint from another rank count has no state for these streams; the
-  // continuation must still conserve every tally and add exactly
-  // config.photons fresh photons (the pre-PR-5 behavior).
+TEST(DistSim, ResumeAtDifferentShapeIsABitwiseContinuation) {
+  // A photon's stream follows from its id, not from the rank that draws it:
+  // a checkpoint from another rank count continues bit for bit too.
   const Scene s = scenes::cornell_box();
   RunConfig leg1_cfg;
   leg1_cfg.photons = 2000;
@@ -287,12 +267,16 @@ TEST(DistSim, ResumeAtDifferentShapeFallsBackToDisjointStreams) {
   const RunResult resumed = run_distributed(s, leg2_cfg, &leg1);
   EXPECT_EQ(resumed.counters.emitted, 3000u);
   EXPECT_EQ(resumed.forest.emitted_total(), 3000u);
+
+  RunConfig straight_cfg = leg1_cfg;
+  straight_cfg.photons = 3000;
+  EXPECT_TRUE(resumed.forest == run_serial(s, straight_cfg).forest);
 }
 
 TEST(DistSim, ResumeConservesAndReproduces) {
   // Distributed resume: the checkpoint's trees fold into the partitions
   // (BinForest/BinTree merge) and the continuation adds exactly
-  // config.photons more photons on a disjoint stream.
+  // config.photons more photons.
   const Scene s = scenes::cornell_box();
   RunConfig leg1_cfg;
   leg1_cfg.photons = 2000;

@@ -49,19 +49,15 @@ TEST(BackendRegistry, RuntimeRegistrationAndCollision) {
 // the same matrix on all bundled scenes.
 
 TEST(CrossBackend, SharedMatchesSerialPhotonStreamReference) {
-  // The pool-backed shared backend traces photon i from RNG stream i, so at
-  // any worker count its forest — per-channel emission totals included — is
-  // bitwise identical to the serial photon-stream reference (a strictly
-  // stronger contract than the old leapfrog-union totals).
+  // Photon i draws from RNG stream i on both backends, so at any worker
+  // count the shared forest — per-channel emission totals included — is
+  // bitwise identical to the serial run.
   const Scene s = scenes::cornell_box();
   RunConfig cfg;
   cfg.photons = 4000;
   cfg.workers = 4;
   const RunResult shared = make_backend("shared")->run(s, cfg);
-
-  RunConfig rc = cfg;
-  rc.photon_streams = true;
-  const RunResult ref = make_backend("serial")->run(s, rc);
+  const RunResult ref = make_backend("serial")->run(s, cfg);
   EXPECT_TRUE(ref.forest == shared.forest);
   for (int c = 0; c < kNumChannels; ++c) {
     EXPECT_EQ(shared.forest.emitted(c), ref.forest.emitted(c)) << "channel " << c;
@@ -69,23 +65,24 @@ TEST(CrossBackend, SharedMatchesSerialPhotonStreamReference) {
 }
 
 TEST(CrossBackend, SerialResumeFromSharedCheckpointGetsFreshStream) {
-  // A shared-backend result carries no single RNG state (rng_mul == 0).
-  // Resuming it through `serial` must not adopt the raw zeros — that would
-  // degenerate the LCG to a constant stream where every photon reflects
-  // until the bounce guard trips.
+  // A shared-backend checkpoint resumed through `serial` continues the
+  // photon-id sequence: fresh streams, and bit for bit the uninterrupted
+  // serial run of both legs.
   const Scene s = scenes::cornell_box();
   RunConfig cfg;
   cfg.photons = 2000;
   cfg.workers = 2;
   const RunResult first = make_backend("shared")->run(s, cfg);
-  ASSERT_EQ(first.rng_mul, 0u);
-
   const RunResult resumed = make_backend("serial")->run(s, cfg, &first);
   EXPECT_EQ(resumed.counters.emitted, 2 * cfg.photons);
   EXPECT_EQ(resumed.forest.emitted_total(), 2 * cfg.photons);
-  // The degenerate stream drives every photon into the bounce limit.
-  EXPECT_EQ(resumed.counters.terminated, first.counters.terminated);
-  EXPECT_NE(resumed.rng_mul, 0u);
+
+  RunConfig straight = cfg;
+  straight.photons = 2 * cfg.photons;
+  const RunResult uninterrupted = make_backend("serial")->run(s, straight);
+  EXPECT_TRUE(resumed.forest == uninterrupted.forest);
+  EXPECT_EQ(resumed.counters.bounces, uninterrupted.counters.bounces);
+  EXPECT_EQ(resumed.counters.terminated, uninterrupted.counters.terminated);
 }
 
 TEST(CrossBackend, SharedResumeDoesNotReplayTheFirstLeg) {

@@ -1,18 +1,12 @@
-// BufferedForestSink contracts: batching may reorder records *across* trees
-// but never within one, so a single worker stays bitwise identical to the
-// serial ForestSink at any flush threshold, and multi-worker runs conserve
-// per-tree record totals.
+// OrderedRouterSink contracts: owned records are held and applied per
+// window in source-rank order, foreign records go to the wire, and a window
+// split into patch % parts parts applies every tree's records in the same
+// order as one part does.
 #include "engine/sink.hpp"
 
 #include <gtest/gtest.h>
 
-#include <mutex>
 #include <vector>
-
-#include "engine/backend.hpp"
-#include "geom/scenes.hpp"
-#include "par/shared.hpp"
-#include "sim/simulator.hpp"
 
 namespace photon {
 namespace {
@@ -27,29 +21,6 @@ BounceRecord make_record(Lcg48& rng, int n_patches) {
       Vec3{rng.uniform() * 2 - 1, rng.uniform() * 2 - 1, 0.2 + rng.uniform()});
   rec.channel = static_cast<std::uint8_t>(rng.uniform() * 3);
   return rec;
-}
-
-TEST(BufferedForestSink, MatchesDirectForestSinkBitwise) {
-  const int n_patches = 7;
-  const int n_records = 5000;
-  BinForest direct(n_patches);
-  BinForest buffered(n_patches);
-  std::vector<std::mutex> mutexes(2 * n_patches);
-
-  ForestSink direct_sink(direct);
-  {
-    // Deliberately awkward threshold so the final flush happens mid-buffer
-    // through the destructor.
-    BufferedForestSink buffered_sink(buffered, mutexes, 33);
-    Lcg48 rng_a(42);
-    Lcg48 rng_b(42);
-    for (int i = 0; i < n_records; ++i) {
-      direct_sink.record(make_record(rng_a, n_patches));
-      buffered_sink.record(make_record(rng_b, n_patches));
-    }
-  }  // destructor flushes the tail
-
-  EXPECT_TRUE(direct == buffered);
 }
 
 TEST(OrderedRouterSink, AppliesOneBatchInSourceRankOrder) {
@@ -69,9 +40,8 @@ TEST(OrderedRouterSink, AppliesOneBatchInSourceRankOrder) {
   }
 
   BinForest routed(n_patches);
-  std::uint64_t applied = 0;
   WireBuffer wire(P);
-  OrderedRouterSink sink(routed, owner, rank, wire, applied);
+  OrderedRouterSink sink(routed, owner, rank, wire);
   for (const BounceRecord& rec : slices[static_cast<std::size_t>(rank)]) sink.record(rec);
   std::vector<Bytes> incoming(P);
   for (int s = 0; s < P; ++s) {
@@ -80,7 +50,8 @@ TEST(OrderedRouterSink, AppliesOneBatchInSourceRankOrder) {
     for (const BounceRecord& rec : slices[static_cast<std::size_t>(s)]) w.append(rank, to_wire(rec));
     incoming[static_cast<std::size_t>(s)] = w.take()[static_cast<std::size_t>(rank)];
   }
-  sink.apply_batch(sink.take_held(), incoming);
+  const std::vector<BounceRecord> held = sink.take_held();
+  const std::uint64_t applied = sink.apply_batch({&held, 1}, incoming);
 
   BinForest expected(n_patches);
   ForestSink direct(expected);
@@ -96,9 +67,8 @@ TEST(OrderedRouterSink, RoutesForeignRecordsToTheWire) {
   std::vector<int> owner = {0, 1, 0, 1};
   Lcg48 rng(11);
   BinForest forest(n_patches);
-  std::uint64_t applied = 0;
   WireBuffer wire(2);
-  OrderedRouterSink sink(forest, owner, 0, wire, applied);
+  OrderedRouterSink sink(forest, owner, 0, wire);
   for (int i = 0; i < 100; ++i) sink.record(make_record(rng, n_patches));
   const std::vector<BounceRecord> held = sink.take_held();
   // Held records are all owned; everything else went to rank 1's buffer.
@@ -106,87 +76,68 @@ TEST(OrderedRouterSink, RoutesForeignRecordsToTheWire) {
   EXPECT_EQ(held.size() + wire.buffer(1).size() / sizeof(WireRecord), 100u);
   EXPECT_TRUE(wire.buffer(0).empty());
   // Nothing is tallied until apply_batch runs.
-  EXPECT_EQ(applied, 0u);
   EXPECT_EQ(forest.total_tally_all(), 0u);
 }
 
-TEST(BufferedForestSink, ExplicitFlushDrainsEverything) {
-  const int n_patches = 3;
-  BinForest forest(n_patches);
-  std::vector<std::mutex> mutexes(2 * n_patches);
-  BufferedForestSink sink(forest, mutexes, 1000000);  // never auto-flushes
-  Lcg48 rng(9);
-  for (int i = 0; i < 123; ++i) sink.record(make_record(rng, n_patches));
-  EXPECT_EQ(forest.total_tally_all(), 0u);  // still buffered
-  sink.flush();
-  EXPECT_EQ(forest.total_tally_all(), 123u);
-  sink.flush();  // idempotent on an empty buffer
-  EXPECT_EQ(forest.total_tally_all(), 123u);
+TEST(OrderedRouterSink, PartsApplyEveryTreeInTheOnePartOrder) {
+  // The particle engine's drain: parts k = 0..parts-1 each apply the records
+  // of patches with patch % parts == k. Together they must apply every
+  // record exactly once, and each tree must see its records in the order
+  // one part applies them — held runs in run order, then the incoming
+  // slices in source order.
+  const int n_patches = 11;
+  const int rank = 0, P = 2;
+  const std::vector<int> owner(n_patches, rank);
+  Lcg48 rng(23);
+  std::vector<std::vector<BounceRecord>> runs(3);
+  for (std::vector<BounceRecord>& run : runs) {
+    for (int i = 0; i < 150; ++i) run.push_back(make_record(rng, n_patches));
+  }
+  WireBuffer remote(P);
+  for (int i = 0; i < 150; ++i) remote.append(rank, to_wire(make_record(rng, n_patches)));
+  std::vector<Bytes> incoming(P);
+  incoming[1] = remote.take()[static_cast<std::size_t>(rank)];
+
+  BinForest whole(n_patches);
+  WireBuffer wire_a(P);
+  OrderedRouterSink one_part(whole, owner, rank, wire_a);
+  const std::uint64_t applied_whole = one_part.apply_batch(runs, incoming);
+
+  for (const std::uint32_t parts : {2u, 3u, 4u}) {
+    BinForest split(n_patches);
+    WireBuffer wire_b(P);
+    OrderedRouterSink sink(split, owner, rank, wire_b);
+    std::uint64_t applied = 0;
+    for (std::uint32_t part = 0; part < parts; ++part) {
+      applied += sink.apply_batch(runs, incoming, part, parts);
+    }
+    EXPECT_EQ(applied, applied_whole) << parts << " parts";
+    EXPECT_TRUE(split == whole) << parts << " parts";
+  }
+  EXPECT_EQ(applied_whole, 4u * 150u);
 }
 
-TEST(BufferedForestSink, ThresholdIsClampedToOne) {
-  const int n_patches = 2;
-  BinForest forest(n_patches);
-  std::vector<std::mutex> mutexes(2 * n_patches);
-  BufferedForestSink sink(forest, mutexes, 0);
-  EXPECT_EQ(sink.threshold(), 1u);
-  Lcg48 rng(5);
-  sink.record(make_record(rng, n_patches));
-  // Threshold 1 flushes on every record — nothing left buffered.
-  EXPECT_EQ(forest.total_tally_all(), 1u);
-}
-
-class BufferedSharedTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(BufferedSharedTest, OneWorkerIsBitwisePhotonStreamSerialAtAnyThreshold) {
-  // The pool-backed shared path no longer routes through BufferedForestSink
-  // (chunk buffers drain single-threaded), so sink_buffer must be inert: at
-  // every threshold shared@1 stays bitwise equal to the serial photon-stream
-  // reference.
-  const Scene s = scenes::cornell_box();
-  RunConfig cfg;
-  cfg.photons = 3000;
-  cfg.workers = 1;
-  cfg.sink_buffer = GetParam();
-
-  RunConfig rc = cfg;
-  rc.photon_streams = true;
-  const RunResult serial = run_serial(s, rc);
-  const RunResult shared = run_shared(s, cfg);
-  EXPECT_TRUE(serial.forest == shared.forest)
-      << "sink_buffer=" << cfg.sink_buffer << " broke shared@1 determinism";
-  EXPECT_EQ(serial.counters.bounces, shared.counters.bounces);
-}
-
-TEST_P(BufferedSharedTest, FourWorkersMatchPerTreeTotalsExactly) {
-  // Every photon draws from its own disjoint stream, so four pool workers
-  // reproduce the serial photon-stream run's per-tree record totals EXACTLY
-  // (the old leapfrog-union version of this test needed a split-rounding
-  // tolerance; the bitwise contract needs none).
-  const int T = 4;
-  const Scene s = scenes::cornell_box();
-  RunConfig cfg;
-  cfg.photons = 2000 * static_cast<std::uint64_t>(T);
-  cfg.workers = T;
-  cfg.sink_buffer = GetParam();
-  const RunResult shared = run_shared(s, cfg);
-
-  RunConfig rc = cfg;
-  rc.photon_streams = true;
-  const RunResult ref = run_serial(s, rc);
-
-  ASSERT_EQ(shared.forest.tree_count(), ref.forest.tree_count());
-  for (std::size_t i = 0; i < shared.forest.tree_count(); ++i) {
-    for (int ch = 0; ch < kNumChannels; ++ch) {
-      EXPECT_EQ(shared.forest.tree_at(static_cast<int>(i)).total_tally(ch),
-                ref.forest.tree_at(static_cast<int>(i)).total_tally(ch))
-          << "tree " << i << " channel " << ch << " sink_buffer=" << cfg.sink_buffer;
+TEST(OrderedRouterSink, OneRankAppliesHeldRunsWithNoIncoming) {
+  // One group: nothing is routed or exchanged; the chunk buffers are the
+  // held slice and apply in chunk order.
+  const int n_patches = 6;
+  Lcg48 rng(31);
+  std::vector<std::vector<BounceRecord>> runs(4);
+  BinForest expected(n_patches);
+  ForestSink direct(expected);
+  for (std::vector<BounceRecord>& run : runs) {
+    for (int i = 0; i < 90; ++i) {
+      run.push_back(make_record(rng, n_patches));
+      direct.record(run.back());
     }
   }
+  BinForest forest(n_patches);
+  const std::vector<int> owner(n_patches, 0);
+  WireBuffer wire(1);
+  OrderedRouterSink sink(forest, owner, 0, wire);
+  EXPECT_EQ(sink.apply_batch(runs, {}), 360u);
+  EXPECT_TRUE(forest == expected);
 }
-
-INSTANTIATE_TEST_SUITE_P(Thresholds, BufferedSharedTest,
-                         ::testing::Values(1u, 4u, 256u));
 
 }  // namespace
 }  // namespace photon

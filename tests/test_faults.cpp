@@ -1,6 +1,6 @@
 // Backend-level fault injection and recovery (engine/recovery.hpp on top of
-// mp/fault.hpp): a scripted rank death must recover bitwise where the
-// backend's RNG scheme guarantees it (hybrid at every shape), conserve every
+// mp/fault.hpp): a scripted rank death must recover bitwise where the answer
+// is shape-invariant (the particle engine at every shape), conserve every
 // tally everywhere, and never hang — with announce_death the cascade wakes
 // blocked peers without any deadline; without it the heartbeat detector
 // declares the loss. CI runs this file under the `faults` ctest label,
@@ -47,8 +47,8 @@ RunConfig fault_config(std::uint64_t photons) {
   return cfg;
 }
 
-// The photon-stream serial reference — what hybrid equals at EVERY shape, so
-// also what a recovered hybrid run must equal at the survivor shape.
+// The serial reference — what the particle engine equals at EVERY shape, so
+// also what a recovered run must equal at the survivor shape.
 const RunResult& stream_reference(const FaultScene& cell) {
   static std::map<std::string, RunResult> cache;
   const auto it = cache.find(cell.name);
@@ -56,15 +56,11 @@ const RunResult& stream_reference(const FaultScene& cell) {
   RunConfig cfg;
   cfg.photons = cell.photons;
   cfg.batch = kWindow;
-  cfg.photon_streams = true;
-  cfg.rank = 0;
-  cfg.nranks = 1;
   return cache.emplace(cell.name, run_serial(*cell.scene, cfg)).first->second;
 }
 
 void expect_conserved(const RunResult& r, std::uint64_t photons, const std::string& label) {
-  // Every budgeted photon emitted (dist-particle may overshoot by < P on the
-  // last capped batch), every record tallied exactly once.
+  // Every budgeted photon emitted, every record tallied exactly once.
   EXPECT_GE(r.counters.emitted, photons) << label;
   EXPECT_EQ(r.forest.emitted_total(), r.counters.emitted) << label;
   EXPECT_EQ(r.forest.total_tally_all(), r.counters.emitted + r.counters.bounces) << label;
@@ -171,8 +167,8 @@ TEST(ElasticRunner, KillMatrixEveryPointRecoversBitwiseOrFailsLoudly) {
 }
 
 TEST(ElasticRunner, DistParticleRankDeathConservesTallies) {
-  // dist-particle's leapfrog streams are shape-bound, so recovery at the
-  // survivor shape contracts conservation, not bitwise equality.
+  // dist-particle is the particle engine at workers × 1: recovery at the
+  // survivor shape conserves every tally and stays bitwise.
   const FaultScene& cell = fault_scenes()[0];
   RunConfig cfg = fault_config(cell.photons);
   cfg.workers = 3;
@@ -185,6 +181,8 @@ TEST(ElasticRunner, DistParticleRankDeathConservesTallies) {
   EXPECT_EQ(stats.dead_ranks[0], 2);
   EXPECT_EQ(stats.final_width, 2);
   expect_conserved(r, cell.photons, "dist-particle");
+  EXPECT_TRUE(r.forest == stream_reference(cell).forest);
+  EXPECT_EQ(r.counters.bounces, stream_reference(cell).counters.bounces);
 }
 
 TEST(ElasticRunner, DistSpatialRankDeathConservesTallies) {

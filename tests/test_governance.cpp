@@ -566,8 +566,6 @@ TEST(Admission, UnlimitedBudgetChangesNothing) {
   Scene scene = scenes::cornell_box();
   RunConfig cfg = gov_config();
   const AdmissionPlan plan = govern_admission(scene, cfg);
-  EXPECT_EQ(plan.sink_buffer, cfg.sink_buffer);
-  EXPECT_FALSE(plan.shrank_buffers);
   EXPECT_FALSE(plan.coarsened_accel);
 }
 
@@ -576,24 +574,22 @@ TEST(Admission, GenerousBudgetAdmitsUndegraded) {
   RunConfig cfg = gov_config();
   cfg.memory_budget = 1ull << 40;
   const AdmissionPlan plan = govern_admission(scene, cfg);
-  EXPECT_FALSE(plan.shrank_buffers);
   EXPECT_FALSE(plan.coarsened_accel);
   EXPECT_GT(plan.estimated_bytes, 0u);
   EXPECT_LE(plan.estimated_bytes, cfg.memory_budget);
 }
 
 TEST(Admission, TightBudgetWalksTheLadderInOrder) {
-  // Find the undegraded estimate, then set the budget just below it: rung 1
-  // (sink buffers) must engage first, and the returned estimate must honor
-  // the budget.
+  // Find the undegraded estimate, then set the budget just below it: rung 2
+  // (coarser accel leaves) must engage first, and the returned estimate must
+  // honor the budget.
   Scene scene = scenes::cornell_box();
   RunConfig cfg = gov_config();
   cfg.memory_budget = 1ull << 40;
   const std::uint64_t undegraded = govern_admission(scene, cfg).estimated_bytes;
   cfg.memory_budget = undegraded - 1;
   const AdmissionPlan plan = govern_admission(scene, cfg);
-  EXPECT_TRUE(plan.shrank_buffers);
-  EXPECT_LE(plan.sink_buffer, cfg.sink_buffer);
+  EXPECT_TRUE(plan.coarsened_accel);
   EXPECT_LE(plan.estimated_bytes, cfg.memory_budget);
 }
 

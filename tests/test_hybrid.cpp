@@ -1,7 +1,7 @@
-// Hybrid-backend contracts beyond what the conformance suite covers for
-// every backend: the shape-invariance guarantee itself (the tentpole — any
-// groups × threads shape is bitwise-equal to the serial photon-stream
-// reference), resume as a bitwise continuation, and the report surface.
+// Particle-engine contracts beyond what the conformance suite covers for
+// every backend: the shape-invariance guarantee itself (any groups × threads
+// shape is bitwise-equal to the serial reference), resume as a bitwise
+// continuation, and the report surface.
 #include "par/hybrid.hpp"
 
 #include <gtest/gtest.h>
@@ -23,14 +23,6 @@ RunConfig hybrid_config(int groups, int workers) {
   return cfg;
 }
 
-RunResult reference_run(const Scene& s, const RunConfig& cfg) {
-  RunConfig ref = cfg;
-  ref.photon_streams = true;
-  ref.rank = 0;
-  ref.nranks = 1;
-  return run_serial(s, ref);
-}
-
 class HybridShapeTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(HybridShapeTest, AnyShapeIsBitwiseTheSerialReference) {
@@ -38,7 +30,7 @@ TEST_P(HybridShapeTest, AnyShapeIsBitwiseTheSerialReference) {
   const Scene s = scenes::cornell_box();
   const RunConfig cfg = hybrid_config(G, T);
   const RunResult hybrid = run_hybrid(s, cfg);
-  const RunResult reference = reference_run(s, cfg);
+  const RunResult reference = run_serial(s, cfg);
 
   EXPECT_TRUE(hybrid.forest == reference.forest) << "shape " << G << "x" << T;
   EXPECT_EQ(hybrid.counters.emitted, reference.counters.emitted);
@@ -66,10 +58,10 @@ INSTANTIATE_TEST_SUITE_P(Shapes, HybridShapeTest,
                                            std::make_tuple(4, 2)));
 
 TEST(HybridSim, ResumeIsABitwiseContinuation) {
-  // Leg 1 ends on a window boundary (photons % batch == 0), so leg 2's
-  // windows line up with the uninterrupted run's and the continuation is
-  // bitwise — at a different shape than leg 1, even: the id sequence, not
-  // the shape, carries the state.
+  // Leg 2 continues the id sequence, so the continuation is bitwise — at a
+  // different shape than leg 1, even: the id sequence, not the shape,
+  // carries the state. (Legs ending mid-window are pinned by the
+  // conformance suite's leg-boundary matrix.)
   const Scene s = scenes::cornell_box();
   RunConfig leg1_cfg = hybrid_config(2, 2);
   leg1_cfg.photons = 1500;  // 3 windows of 500
@@ -99,7 +91,7 @@ TEST(HybridSim, TracesTheExactBudgetAndConserves) {
     traced += rep.traced;
     processed += rep.processed;
   }
-  // Unlike dist-particle's per-rank rounding, the id-space split is exact.
+  // The id-space split is exact.
   EXPECT_EQ(traced, cfg.photons);
   EXPECT_EQ(r.counters.emitted, cfg.photons);
   EXPECT_EQ(r.forest.emitted_total(), cfg.photons);
@@ -121,15 +113,10 @@ TEST(HybridSim, MessagesFlowBetweenGroups) {
   ASSERT_EQ(r.balance.owner.size(), s.patch_count());
 }
 
-// (run_photon_streams — the reference dist-spatial has always been pinned to
-// — now *delegates* to serial's photon_streams mode, so the two references
-// are one implementation by construction.)
-
 TEST(HybridSim, SerialPhotonStreamResumeIsBitwise) {
   const Scene s = scenes::cornell_box();
   RunConfig half;
   half.photons = 1000;
-  half.photon_streams = true;
   const RunResult first = run_serial(s, half);
   const RunResult resumed = run_serial(s, half, &first);
 

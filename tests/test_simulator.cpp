@@ -151,30 +151,6 @@ TEST(Simulator, SpeedTraceIsMonotone) {
   EXPECT_GT(r.trace.final_rate(), 0.0);
 }
 
-TEST(Simulator, MaxSecondsStopsEarly) {
-  const Scene s = scenes::computer_lab();
-  RunConfig cfg;
-  cfg.photons = 50'000'000;  // far more than fits in the budget
-  cfg.batch = 2000;
-  cfg.max_seconds = 0.2;
-  const RunResult r = run_serial(s, cfg);
-  EXPECT_LT(r.trace.total_photons, cfg.photons);
-  EXPECT_GT(r.trace.total_photons, 0u);
-}
-
-TEST(Simulator, LeapfrogRanksPartitionWork) {
-  // Streams (seed, r, P) are disjoint, so per-rank runs must differ.
-  const Scene s = scenes::cornell_box();
-  RunConfig a, b;
-  a.photons = b.photons = 2000;
-  a.rank = 0;
-  b.rank = 1;
-  a.nranks = b.nranks = 2;
-  const RunResult ra = run_serial(s, a);
-  const RunResult rb = run_serial(s, b);
-  EXPECT_FALSE(ra.forest == rb.forest);
-}
-
 TEST(Simulator, MirrorSceneBinsAngularly) {
   // Chapter 4: "A purely diffuse surface requires only planar bin
   // subdivisions while a specular surface requires more angular bin

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "geom/scenes.hpp"
+#include "sim/simulator.hpp"
 
 namespace photon {
 namespace {
@@ -97,7 +98,7 @@ TEST_P(SpatialSimTest, MatchesFullOctreeReference) {
 
   cfg.workers = P;
   const RunResult spatial = run_spatial(s, cfg);
-  const RunResult reference = run_photon_streams(s, cfg);
+  const RunResult reference = run_serial(s, cfg);
 
   EXPECT_EQ(spatial.counters.emitted, reference.counters.emitted);
   EXPECT_EQ(spatial.counters.bounces, reference.counters.bounces);
@@ -121,7 +122,7 @@ TEST_P(SpatialSimTest, OpenSceneEscapesAreCounted) {
   cfg.batch = 250;
   cfg.workers = P;
   const RunResult spatial = run_spatial(s, cfg);
-  const RunResult reference = run_photon_streams(s, cfg);
+  const RunResult reference = run_serial(s, cfg);
   EXPECT_EQ(spatial.counters.escaped, reference.counters.escaped);
   EXPECT_EQ(spatial.counters.absorbed, reference.counters.absorbed);
 }
@@ -206,7 +207,7 @@ TEST(SpatialSim, OneRankIsBitwiseReferenceAtAnyBatch) {
     cfg.batch = batch;
     cfg.workers = 1;
     const RunResult spatial = run_spatial(s, cfg);
-    const RunResult reference = run_photon_streams(s, cfg);
+    const RunResult reference = run_serial(s, cfg);
     EXPECT_TRUE(spatial.forest == reference.forest) << "batch=" << batch;
   }
 }
