@@ -1,8 +1,8 @@
 #include "engine/backend.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <map>
-#include <mutex>
 
 #include "par/hybrid.hpp"
 #include "par/spatial.hpp"
@@ -15,7 +15,6 @@ namespace {
 class SerialBackend final : public Backend {
  public:
   std::string name() const override { return "serial"; }
-  bool supports_resume() const override { return true; }
   RunResult run(const Scene& scene, const RunConfig& config,
                 const RunResult* resume) override {
     return run_serial(scene, config, resume);
@@ -36,7 +35,6 @@ class ParticleBackend final : public Backend {
   ParticleBackend(std::string name, ParticleShape shape)
       : name_(std::move(name)), shape_(shape) {}
   std::string name() const override { return name_; }
-  bool supports_resume() const override { return true; }
   RunResult run(const Scene& scene, const RunConfig& config,
                 const RunResult* resume) override {
     RunConfig shaped = config;
@@ -59,22 +57,16 @@ class ParticleBackend final : public Backend {
 class DistSpatialBackend final : public Backend {
  public:
   std::string name() const override { return "dist-spatial"; }
-  // Resume folds the checkpoint into the partitioned trees and continues the
-  // per-photon id sequence where the checkpoint stopped.
-  bool supports_resume() const override { return true; }
   RunResult run(const Scene& scene, const RunConfig& config,
                 const RunResult* resume) override {
     return run_spatial(scene, config, resume);
   }
 };
 
-std::mutex& registry_mutex() {
-  static std::mutex m;
-  return m;
-}
+using BackendFactory = std::function<std::unique_ptr<Backend>()>;
 
-std::map<std::string, BackendFactory>& factory_map() {
-  static std::map<std::string, BackendFactory> factories = {
+const std::map<std::string, BackendFactory>& factory_map() {
+  static const std::map<std::string, BackendFactory> factories = {
       {"serial", [] { return std::make_unique<SerialBackend>(); }},
       {"shared",
        [] { return std::make_unique<ParticleBackend>("shared", ParticleShape::kThreads); }},
@@ -91,27 +83,12 @@ std::map<std::string, BackendFactory>& factory_map() {
 
 }  // namespace
 
-bool register_backend(const std::string& name, BackendFactory factory) {
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  return factory_map().emplace(name, std::move(factory)).second;
-}
-
 std::unique_ptr<Backend> make_backend(const std::string& name) {
-  // Copy the factory out before invoking it: a registered factory may itself
-  // call back into the registry (e.g. a decorator wrapping another backend),
-  // which would deadlock on the non-recursive mutex if still held.
-  BackendFactory factory;
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex());
-    const auto it = factory_map().find(name);
-    if (it == factory_map().end()) return nullptr;
-    factory = it->second;
-  }
-  return factory();
+  const auto it = factory_map().find(name);
+  return it == factory_map().end() ? nullptr : it->second();
 }
 
 std::vector<std::string> backend_names() {
-  std::lock_guard<std::mutex> lock(registry_mutex());
   std::vector<std::string> names;
   names.reserve(factory_map().size());
   for (const auto& [name, factory] : factory_map()) names.push_back(name);

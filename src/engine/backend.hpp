@@ -18,18 +18,18 @@
 //   dist-spatial  partitioned geometry; photons migrate between region
 //                 owners (chapter 6, "Massive Parallelism")
 //
-// The particle engine (par/hybrid.hpp) is one window loop on per-photon RNG
-// streams: serial, shared, dist-particle and hybrid answer bitwise-equal at
-// every shape, window size and resume point.
+// One contract covers all five: every photon draws from its own RNG block
+// and every tree applies its records in (photon id, bounce) order, so each
+// backend answers bitwise-equal to the serial run at every shape, window
+// size and resume point. The particle engine (par/hybrid.hpp) is one window
+// loop under three names; dist-spatial (par/spatial.hpp) traces the same
+// rays region by region with the serial tracer's bounce body.
 //
-// Backends are selected by name through make_backend(); additional backends
-// can be registered at runtime with register_backend(). Every registered
-// backend is exercised by the cross-backend conformance suite
-// (tests/test_conformance.cpp): determinism, conservation, and — where the
-// backend contracts it — bitwise equality with the serial reference.
+// Backends are selected by name through make_backend(); the cross-backend
+// conformance suite (tests/test_conformance.cpp) pins every name to that
+// contract.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,7 +65,6 @@ struct RankReport {
   std::uint64_t octree_nodes = 0;     // local octree size (the memory win)
   std::uint64_t photons_in = 0;       // in-flight photons received
   std::uint64_t photons_out = 0;      // in-flight photons forwarded
-  std::uint64_t segments_traced = 0;  // trace segments executed
   std::uint64_t tallies = 0;          // records applied by this rank
 
   // Deadline expiries this rank retried through under the CommPolicy
@@ -130,27 +129,17 @@ class Backend {
 
   virtual std::string name() const = 0;
 
-  // Whether run() honors `resume`: adopting the forest and counters of a
-  // previous result and simulating config.photons *additional* photons,
-  // continuing the photon-id sequence. `serial` and the particle engine's
-  // names guarantee the continuation is bitwise identical to an
-  // uninterrupted run, whatever shape either leg ran at.
-  virtual bool supports_resume() const { return false; }
-
+  // A `resume` result (a loaded checkpoint, from any backend) is adopted:
+  // config.photons *additional* photons continue its photon-id sequence,
+  // bitwise equal to an uninterrupted run whatever shape either leg ran at.
   virtual RunResult run(const Scene& scene, const RunConfig& config,
                         const RunResult* resume = nullptr) = 0;
 };
 
-using BackendFactory = std::function<std::unique_ptr<Backend>()>;
-
-// Registers a backend under `name`; returns false (and leaves the existing
-// entry) when the name is taken.
-bool register_backend(const std::string& name, BackendFactory factory);
-
 // Instantiates a backend by name; nullptr for unknown names.
 std::unique_ptr<Backend> make_backend(const std::string& name);
 
-// Registered names, sorted; always includes the five built-ins.
+// The five names, sorted.
 std::vector<std::string> backend_names();
 
 }  // namespace photon

@@ -1,16 +1,9 @@
 // The unified simulation configuration.
 //
 // One RunConfig drives every backend (serial, shared, dist-particle,
-// dist-spatial); fields a backend does not use are simply ignored. This
-// supersedes the seed's four per-substrate config structs, which had drifted
-// copies of the same knobs.
-//
-// Unification note: defaults are now backend-independent, which changed two
-// of them relative to the old DistConfig/SpatialConfig — the distributed
-// backends previously defaulted to adaptive batching with a 2000-photon
-// fixed fallback; RunConfig defaults to fixed 10000-photon batches
-// everywhere. Callers that want the chapter-5 adaptive behavior must set
-// adapt_batch (and usually a smaller `batch`) explicitly.
+// hybrid, dist-spatial); fields a backend does not use are simply ignored.
+// Defaults are backend-independent: fixed 10000-photon batches everywhere,
+// with the chapter-5 adaptive batching opt-in through adapt_batch.
 #pragma once
 
 #include <cstdint>
@@ -44,10 +37,10 @@ struct RunConfig {
   // per window for shared and hybrid. When `adapt_batch` is set, the
   // engine's BatchController adapts the size to the measured rate instead
   // (chapter 5, "Communication vs. Computation"): the batch for serial, each
-  // rank's or group's slice of the window for the particle engine. Records
-  // apply in photon-id order at every window size, so on serial, shared,
-  // dist-particle and hybrid both knobs are scheduling only: the answer is
-  // the same whatever they are set to.
+  // rank's or group's slice of the window for the particle engine;
+  // dist-spatial keeps its fixed rounds. Every backend applies records in
+  // photon-id order at every window size, so both knobs are scheduling
+  // only: the answer is the same whatever they are set to.
   std::uint64_t batch = 10000;
   bool adapt_batch = false;
   BatchPolicy batch_policy{};

@@ -387,9 +387,8 @@ AdmissionPlan govern_admission(Scene& scene, const RunConfig& config) {
   plan.estimated_bytes = admission_estimate_bytes(scene, config);
   if (plan.estimated_bytes <= budget) return plan;
 
-  // Rung 3: refuse admission. Window size is not on the ladder: it is
-  // result-neutral on serial and every particle-engine shape, but not on
-  // dist-spatial at P > 1, and a degraded run must stay bitwise-equal.
+  // Rung 3: refuse admission. Window size is result-neutral on every
+  // backend, but no shrink-the-window rung exists yet.
   std::ostringstream what;
   what << "memory budget " << budget << " bytes refused: coarsest plan still needs ~"
        << plan.estimated_bytes << " bytes (accel "

@@ -36,9 +36,9 @@
 //                governed loops fold the forest footprint into the same stop
 //                word and stop with RunStatus::kOverBudget — a resumable
 //                graceful stop, not an OOM kill. Window size is
-//                result-neutral on serial and every particle-engine shape;
-//                it stays off the ladder only because dist-spatial at P > 1
-//                is not.
+//                result-neutral on every backend, so a shrink-the-window
+//                rung could join the ladder bitwise-neutrally; it is not
+//                built yet.
 #pragma once
 
 #include <atomic>

@@ -11,12 +11,10 @@
 // photon-id slice re-shards across the survivors automatically because every
 // backend derives its slice from (width, rank).
 //
-// Determinism after recovery (DESIGN.md "Fault model"): the particle engine
-// (shared, dist-particle, hybrid) is bitwise shape-invariant and resumes
-// bitwise at any leg boundary, so a recovered run is bitwise equal to an
-// undisturbed run at the survivor shape. dist-spatial recovers with
-// conserved tallies but not bitwise equality — its record interleaving is
-// shape-dependent.
+// Determinism after recovery (DESIGN.md "Fault model"): every backend is
+// bitwise shape-invariant and resumes bitwise at any leg boundary, so a
+// recovered run is bitwise equal to an undisturbed run at the survivor
+// shape.
 #pragma once
 
 #include "engine/backend.hpp"

@@ -4,14 +4,6 @@
 
 namespace photon {
 
-void RouterSink::apply_incoming(const Bytes& buf) {
-  for_each_wire<WireRecord>(buf, [&](const WireRecord& wire) {
-    const BounceRecord rec = from_wire(wire);
-    forest_->record(rec.patch, rec.front, rec.coords, rec.channel);
-    ++(*applied_);
-  });
-}
-
 template <typename Keep>
 std::uint64_t OrderedRouterSink::apply_filtered(std::span<const std::vector<BounceRecord>> held,
                                                 const std::vector<Bytes>& incoming, Keep keep) {

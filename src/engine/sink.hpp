@@ -1,7 +1,12 @@
-// Record sinks for the partitioned-forest backends: RouterSink routes each
-// record to its owner as it is traced (dist-spatial); OrderedRouterSink
-// holds owned records and applies whole windows in canonical order (the
-// particle engine, par/hybrid.hpp).
+// The record sink of the particle engine (par/hybrid.hpp) at every shape.
+//
+// OrderedRouterSink holds owned records per window and applies one window
+// atomically in source-rank order: rank 0's slice, rank 1's slice, … (its
+// own held slice in place of incoming[rank]). When ranks trace contiguous id
+// slices in ascending order, that is global photon-id order — the order the
+// serial reference tallies in — whatever the window size or shape. (The
+// spatial decomposition keys its records instead, par/spatial.cpp: its
+// photons finish out of id order.)
 #pragma once
 
 #include <cstdint>
@@ -14,55 +19,6 @@
 
 namespace photon {
 
-// RouterSink — the distributed backends' record router (EnQueue of Fig 5.3).
-// A record whose patch this rank owns is tallied into the local forest
-// immediately; a foreign record is serialized in place into the
-// per-destination WireBuffer (one copy, straight into the bytes the exchange
-// will send).
-//
-// The sink holds no queue of its own: WireBuffer::take() surrenders batch k's
-// bytes to the split-phase exchange and leaves the same buffer refillable, so
-// the sink keeps serializing batch k+1 while batch k drains.
-class RouterSink final : public BinSink {
- public:
-  // `owner[p]` is the rank owning patch p's trees; `applied` counts records
-  // tallied locally by this rank (the Table 5.2 "processed" metric).
-  RouterSink(BinForest& forest, const std::vector<int>& owner, int rank, WireBuffer& wire,
-             std::uint64_t& applied)
-      : forest_(&forest), owner_(&owner), rank_(rank), wire_(&wire), applied_(&applied) {}
-
-  void record(const BounceRecord& rec) override {
-    const int owner_rank = (*owner_)[static_cast<std::size_t>(rec.patch)];
-    if (owner_rank == rank_) {
-      forest_->record(rec.patch, rec.front, rec.coords, rec.channel);
-      ++(*applied_);
-    } else {
-      wire_->append(owner_rank, to_wire(rec));
-    }
-  }
-
-  // Tallies every WireRecord in an incoming exchange buffer. Records arriving
-  // here were routed by their producer, so they are applied unconditionally.
-  void apply_incoming(const Bytes& buf);
-
- private:
-  BinForest* forest_;
-  const std::vector<int>* owner_;
-  int rank_;
-  WireBuffer* wire_;
-  std::uint64_t* applied_;
-};
-
-// OrderedRouterSink — RouterSink's canonically-ordered sibling, the record
-// path of the particle engine (par/hybrid.hpp) at every shape.
-//
-// RouterSink tallies owned records the instant they are traced, so a tree's
-// record order interleaves "my trace position" with "whenever a drain ran".
-// This sink instead *holds* owned records per window and applies one window
-// atomically in source-rank order: rank 0's slice, rank 1's slice, … (its own
-// held slice in place of incoming[rank]). When ranks trace contiguous id
-// slices in ascending order, that is global photon-id order — the order the
-// serial reference tallies in — whatever the window size or shape.
 class OrderedRouterSink final : public BinSink {
  public:
   OrderedRouterSink(BinForest& forest, const std::vector<int>& owner, int rank,
@@ -70,7 +26,8 @@ class OrderedRouterSink final : public BinSink {
       : forest_(&forest), owner_(&owner), rank_(rank), wire_(&wire) {}
 
   // Owned records are held for apply_batch; foreign records serialize in
-  // place into the outgoing wire (same zero-copy path as RouterSink).
+  // place into the outgoing wire (one copy, straight into the bytes the
+  // exchange will send).
   void record(const BounceRecord& rec) override {
     const int owner_rank = (*owner_)[static_cast<std::size_t>(rec.patch)];
     if (owner_rank == rank_) {

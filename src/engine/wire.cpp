@@ -50,36 +50,12 @@ WireRecord make_wire_record(int patch, const BinCoords& coords, int channel, boo
   return wire;
 }
 
-FlightWire to_wire(const PhotonFlight& flight) {
-  FlightWire w{};
-  w.px = flight.pos.x;
-  w.py = flight.pos.y;
-  w.pz = flight.pos.z;
-  w.dx = flight.dir.x;
-  w.dy = flight.dir.y;
-  w.dz = flight.dir.z;
-  w.rng_state = flight.rng.state();
-  w.bounces = flight.bounces;
-  w.channel = static_cast<std::uint8_t>(flight.channel);
-  w.pol_s = static_cast<float>(flight.pol.s);
-  return w;
-}
-
-PhotonFlight from_wire(const FlightWire& wire) {
-  PhotonFlight flight;
-  flight.pos = {wire.px, wire.py, wire.pz};
-  flight.dir = {wire.dx, wire.dy, wire.dz};
-  flight.rng.reset(wire.rng_state);
-  flight.bounces = wire.bounces;
-  flight.channel = wire.channel;
-  flight.pol = {wire.pol_s, 1.0 - wire.pol_s};
-  return flight;
-}
-
 Bytes pack_records(const std::vector<WireRecord>& records) { return pack_vector(records); }
 std::vector<WireRecord> unpack_records(const Bytes& buf) { return unpack_vector<WireRecord>(buf); }
-Bytes pack_flights(const std::vector<FlightWire>& flights) { return pack_vector(flights); }
-std::vector<FlightWire> unpack_flights(const Bytes& buf) { return unpack_vector<FlightWire>(buf); }
+Bytes pack_flights(const std::vector<PhotonFlight>& flights) { return pack_vector(flights); }
+std::vector<PhotonFlight> unpack_flights(const Bytes& buf) {
+  return unpack_vector<PhotonFlight>(buf);
+}
 
 WireBuffer::WireBuffer(int destinations)
     : bufs_(static_cast<std::size_t>(destinations > 0 ? destinations : 0)) {}

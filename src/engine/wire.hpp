@@ -2,12 +2,14 @@
 // message-passing backend (the seed duplicated these structs in
 // par/dist.cpp and par/spatial.cpp "to keep the two substrates independent").
 //
-// Two record kinds travel on the wire:
+// Three record kinds travel on the wire:
 //  - WireRecord: a packed tally destined for the bin-tree owner (the EnQueue
 //    payload of Fig 5.3).
-//  - FlightWire: an in-flight photon crossing a region boundary in the
-//    distributed-geometry decomposition (chapter 6). It carries its full RNG
-//    state so any rank can continue the path deterministically.
+//  - KeyedRecord: a WireRecord keyed by its place in the photon sequence, for
+//    the distributed-geometry decomposition's ordered apply (chapter 6).
+//  - PhotonFlight: an in-flight photon crossing a region boundary in that
+//    decomposition, sent as it is held, so any rank continues the path bit
+//    for bit.
 #pragma once
 
 #include <cstdint>
@@ -16,8 +18,6 @@
 #include <vector>
 
 #include "core/rng.hpp"
-#include "core/vec3.hpp"
-#include "material/polarization.hpp"
 #include "sim/tracer.hpp"
 
 namespace photon {
@@ -30,7 +30,7 @@ struct WireRecord {
   float s = 0, t = 0, u = 0, theta = 0;
   std::uint8_t channel = 0;
   std::uint8_t front = 1;
-  std::uint16_t pad = 0;
+  std::uint16_t pad = 0;  // a KeyedRecord's index along the path
 };
 static_assert(sizeof(WireRecord) == 24, "wire format is part of the protocol");
 
@@ -38,37 +38,44 @@ WireRecord to_wire(const BounceRecord& rec);
 BounceRecord from_wire(const WireRecord& wire);
 WireRecord make_wire_record(int patch, const BinCoords& coords, int channel, bool front);
 
-// In-flight photon as exchanged between region owners.
-struct FlightWire {
-  double px, py, pz;
-  double dx, dy, dz;
-  std::uint64_t rng_state;
-  std::int32_t bounces;
-  std::uint8_t channel;
-  std::uint8_t pad[3];
-  float pol_s;
+// A record keyed by (photon id, index along the path): the index (0 for the
+// emission, k for the k-th reflection) rides in rec.pad. Sorting by the key
+// restores the order the serial run tallies in.
+struct KeyedRecord {
+  std::uint64_t photon = 0;
+  WireRecord rec;
 };
-static_assert(sizeof(FlightWire) == 72, "wire format is part of the protocol");
+static_assert(sizeof(KeyedRecord) == 32, "wire format is part of the protocol");
 
-// Unpacked in-flight photon: position, heading, private RNG stream and
-// polarization state — everything a rank needs to continue the path.
+inline KeyedRecord make_keyed_record(std::uint64_t photon, int index, const BounceRecord& rec) {
+  KeyedRecord keyed{photon, to_wire(rec)};
+  keyed.rec.pad = static_cast<std::uint16_t>(index);
+  return keyed;
+}
+
+inline bool operator<(const KeyedRecord& a, const KeyedRecord& b) {
+  return a.photon != b.photon ? a.photon < b.photon : a.rec.pad < b.rec.pad;
+}
+
+// An in-flight photon: its path state, private RNG stream and id, and how
+// far along the current ray every region before this one found no hit. The
+// ray keeps its origin across hand-offs, so each region traces the very ray
+// the whole-scene index would. Trivially copyable with no padding, it
+// crosses the wire as it is held: both polarization components and the
+// stream state arrive exact.
 struct PhotonFlight {
-  Vec3 pos;
-  Vec3 dir;
+  PhotonPath path;
   Lcg48 rng;
-  int bounces = 0;
-  int channel = 0;
-  Polarization pol = Polarization::unpolarized();
+  std::uint64_t photon = 0;
+  double t_min = 0.0;
 };
-
-FlightWire to_wire(const PhotonFlight& flight);
-PhotonFlight from_wire(const FlightWire& wire);
+static_assert(sizeof(PhotonFlight) == 96, "wire format is part of the protocol");
 
 // Byte-buffer (de)serialization for the all-to-all exchanges.
 Bytes pack_records(const std::vector<WireRecord>& records);
 std::vector<WireRecord> unpack_records(const Bytes& buf);
-Bytes pack_flights(const std::vector<FlightWire>& flights);
-std::vector<FlightWire> unpack_flights(const Bytes& buf);
+Bytes pack_flights(const std::vector<PhotonFlight>& flights);
+std::vector<PhotonFlight> unpack_flights(const Bytes& buf);
 
 // Number of `T`-sized wire records held by a byte buffer.
 template <typename T>

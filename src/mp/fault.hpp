@@ -166,7 +166,8 @@ struct CommPolicy {
   double backoff = 2.0;
   // When set, ranks publish per-batch liveness counters (Comm::heartbeat)
   // and a waiter whose retries expired declares the peer dead if its counter
-  // never advanced while waiting — the failure-detector path. Without it an
+  // never advanced while waiting and the peer is not itself blocked in a
+  // deadline-bounded wait — the failure-detector path. Without it an
   // expired wait is only ever a kTimeout.
   bool heartbeats = false;
   // When set (the default), a scripted kill marks the rank dead immediately

@@ -49,6 +49,17 @@ class World {
  public:
   enum class TakeStatus { kOk, kTimeout, kPeerGone, kPoisoned };
 
+  // Counts `rank` as blocked in a deadline-bounded wait (every attempt of
+  // it, retries included) while in scope; see in_bounded_wait.
+  struct BoundedWait {
+    BoundedWait(World& world, int rank) : count(world.waiting_[static_cast<std::size_t>(rank)]) {
+      ++count;
+    }
+    BoundedWait(const BoundedWait&) = delete;
+    ~BoundedWait() { --count; }
+    std::atomic<int>& count;
+  };
+
   World(int nranks, const WorldOptions& options)
       : nranks_(nranks),
         opts_(options),
@@ -57,6 +68,7 @@ class World {
         reduce_slots_(static_cast<std::size_t>(nranks), 0.0),
         life_(static_cast<std::size_t>(nranks)),
         hb_(static_cast<std::size_t>(nranks)),
+        waiting_(static_cast<std::size_t>(nranks)),
         arrived_(static_cast<std::size_t>(nranks), 0) {
     register_world(this);
   }
@@ -159,6 +171,11 @@ class World {
   void set_heartbeat(int rank, std::uint64_t counter) {
     hb_[static_cast<std::size_t>(rank)].store(counter, std::memory_order_release);
   }
+  // A rank blocked in a deadline-bounded wait is alive: its own deadline
+  // will end the wait, so the failure detector must not declare it dead
+  // for a heartbeat it cannot tick from there. (Two ranks starved on each
+  // other then end in plain timeouts, not in declaring each other dead.)
+  bool in_bounded_wait(int rank) const { return waiting_[static_cast<std::size_t>(rank)] > 0; }
 
   // Records a death for the post-join WorldFailure. Under announce (the
   // fail-stop model) the rank is also marked gone, which wakes and aborts
@@ -220,6 +237,7 @@ class World {
       if (poisoned() && !any_gone_) throw_poisoned();
       throw_collective_abort();
     }
+    const BoundedWait waiting(*this, rank);
     // Baseline heartbeat snapshot: a missing rank whose counter advances
     // during our waits is alive (slow), not dead.
     std::vector<std::uint64_t> hb0(static_cast<std::size_t>(nranks_));
@@ -253,7 +271,7 @@ class World {
       for (int r = 0; r < nranks_; ++r) {
         const auto ri = static_cast<std::size_t>(r);
         if (arrived_[ri]) continue;
-        if (heartbeat_of(r) != hb0[ri]) {
+        if (heartbeat_of(r) != hb0[ri] || in_bounded_wait(r)) {
           any_advancing = true;
         } else {
           stale.push_back(r);
@@ -367,6 +385,7 @@ class World {
   std::vector<double> reduce_slots_;
   std::vector<std::atomic<std::uint8_t>> life_;
   std::vector<std::atomic<std::uint64_t>> hb_;
+  std::vector<std::atomic<int>> waiting_;  // bounded waits in progress per rank
 
   std::mutex barrier_m_;
   std::condition_variable barrier_cv_;
@@ -458,6 +477,7 @@ Bytes Comm::recv_deadline(int src, int tag, double deadline_s) {
     return throw_gone();  // kPeerGone — an unbounded take cannot time out
   }
   const CommPolicy& pol = world_->policy();
+  const World::BoundedWait waiting(*world_, rank_);
   double d = deadline_s;
   std::uint64_t hb_last = world_->heartbeat_of(src);
   bool advanced = false;
@@ -473,7 +493,7 @@ Bytes Comm::recv_deadline(int src, int tag, double deadline_s) {
     }
     if (attempt >= pol.retries) {
       std::ostringstream what;
-      if (pol.heartbeats && !advanced) {
+      if (pol.heartbeats && !advanced && !world_->in_bounded_wait(src)) {
         // Missed-deadline threshold reached and the peer's liveness counter
         // never moved: the failure detector declares it dead, waking every
         // other rank blocked on it.
@@ -543,6 +563,11 @@ std::uint64_t Comm::allreduce_sum_u64(std::uint64_t v) {
   // 2^53 headroom is ample for photon counts in one run.
   return static_cast<std::uint64_t>(
       world_->allreduce(rank_, static_cast<double>(v), false, deadline_retries_));
+}
+std::uint64_t Comm::allreduce_min_u64(std::uint64_t v) {
+  // The max of the negations; exact below 2^53, like the sum.
+  return static_cast<std::uint64_t>(
+      -world_->allreduce(rank_, -static_cast<double>(v), true, deadline_retries_));
 }
 
 WorldStats run_world(int nranks, const WorldOptions& options,

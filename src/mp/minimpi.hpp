@@ -139,6 +139,7 @@ class Comm {
   double allreduce_sum(double v);
   double allreduce_max(double v);
   std::uint64_t allreduce_sum_u64(std::uint64_t v);
+  std::uint64_t allreduce_min_u64(std::uint64_t v);
 
   // Publishes this rank's liveness counter (the per-batch heartbeat the
   // failure detector reads). Cheap enough to call unconditionally.

@@ -1,14 +1,14 @@
 #include "par/spatial.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <deque>
 #include <mutex>
+#include <numeric>
 #include <optional>
 
-#include "core/onb.hpp"
 #include "engine/governor.hpp"
-#include "engine/sink.hpp"
 #include "engine/wire.hpp"
-#include "material/brdf.hpp"
 #include "mp/minimpi.hpp"
 #include "par/gather.hpp"
 #include "sim/emitter.hpp"
@@ -16,8 +16,6 @@
 namespace photon {
 
 namespace {
-
-enum class SegmentEnd { kAbsorbed, kEscaped, kExitedRegion, kTerminated };
 
 // Message channels of the spatial exchange: photon migration is synchronous
 // (next round's tracing depends on it); record tallies ride one round behind
@@ -108,98 +106,119 @@ int region_of(const std::vector<Aabb>& regions, const Vec3& p) {
 
 namespace {
 
-// Traces `flight` inside `region` against the local octree until it is
-// absorbed, escapes the scene, exits the region, or trips the bounce guard.
-// Bounce records go straight into `sink` (a RouterSink: owned tallies apply
-// immediately, foreign ones serialize into the outgoing wire bytes).
-// `epsilon` is the tracer's scene-scaled surface nudge: paths must match the
-// full-octree reference bit for bit.
-SegmentEnd trace_segment(const Scene& scene, const AccelStructure& local_tree,
-                         const std::vector<std::int32_t>& local_to_global, const Aabb& region,
-                         const Aabb& root, const TraceLimits& limits, double epsilon,
-                         PhotonFlight& flight, BinSink& sink, TraceCounters& counters) {
-  while (true) {
-    if (flight.bounces >= limits.max_bounces) {
-      ++counters.terminated;
-      return SegmentEnd::kTerminated;
+// The region that holds `ray` just past t_min: the one containing the point
+// `step` further on, or, when that point resolves to `self` or to no region
+// (a face, edge or corner under rounding), the region whose stretch of the
+// ray beyond t_min begins first. -1 once the ray has left every region.
+int next_region(const std::vector<Aabb>& regions, int self, const Ray& ray, double t_min,
+                double step) {
+  const int ahead = region_of(regions, ray.at(t_min + step));
+  if (ahead >= 0 && ahead != self) return ahead;
+  int best = -1;
+  double best_enter = kNoHit;
+  for (std::size_t r = 0; r < regions.size(); ++r) {
+    double enter = 0.0, exit = 0.0;
+    if (!regions[r].hit(ray, kNoHit, enter, exit) || exit <= t_min) continue;
+    if (enter < best_enter) {
+      best = static_cast<int>(r);
+      best_enter = enter;
     }
-    const Ray ray(flight.pos, flight.dir);
-    double t_enter = 0.0, t_exit = kNoHit;
-    if (!region.hit(ray, kNoHit, t_enter, t_exit)) {
-      // Numerical corner: the photon sits on the region face pointing out.
-      t_exit = 0.0;
-    }
-
-    SceneHit hit;
-    const bool have_hit = local_tree.intersect(ray, kNoHit, hit);
-    // A hit beyond the region exit belongs to some other rank's region (it
-    // may not even be the globally closest hit — a closer patch may exist in
-    // the neighbouring region's octree). The tolerance is a fraction of the
-    // surface nudge so both scale with the scene.
-    if (!have_hit || hit.dist > t_exit + 0.01 * epsilon) {
-      const Vec3 boundary = ray.at(t_exit + epsilon);
-      if (!root.contains(boundary)) {
-        ++counters.escaped;
-        return SegmentEnd::kEscaped;
-      }
-      flight.pos = boundary;
-      return SegmentEnd::kExitedRegion;
-    }
-
-    const int global_patch = local_to_global[static_cast<std::size_t>(hit.patch)];
-    const Patch& patch = scene.patch(global_patch);
-    const Material& mat = scene.material_of(patch);
-    if (!hit.front && !mat.two_sided) {
-      ++counters.absorbed;
-      return SegmentEnd::kAbsorbed;
-    }
-
-    const Vec3 side_normal = hit.front ? patch.normal() : -patch.normal();
-    const Onb frame = Onb::from_normal(side_normal);
-    const Vec3 wi_local = frame.to_local(flight.dir);
-    const ScatterSample scatter =
-        sample_scatter(mat, wi_local, flight.channel, flight.pol, flight.rng);
-    if (scatter.kind == ScatterKind::kAbsorbed) {
-      ++counters.absorbed;
-      return SegmentEnd::kAbsorbed;
-    }
-    flight.channel = scatter.channel;
-
-    BounceRecord rec;
-    rec.patch = global_patch;
-    rec.front = hit.front;
-    rec.coords = BinCoords::from_local_dir(hit.s, hit.t, scatter.dir);
-    rec.channel = static_cast<std::uint8_t>(flight.channel);
-    sink.record(rec);
-    ++counters.bounces;
-    ++flight.bounces;
-
-    const Vec3 hit_point = ray.at(hit.dist);
-    flight.dir = frame.to_world(scatter.dir).normalized();
-    flight.pos = hit_point + side_normal * epsilon;
   }
+  return best;
 }
+
+// Keys each record with the photon and path index being traced and routes
+// it: foreign records serialize straight into the outgoing wire bytes, and
+// the records of trees this rank owns, traced here or received, wait in
+// buckets by the round their photon was emitted in (bucket b holds photons
+// [first + b*span, first + (b+1)*span)). A bucket applies once every photon
+// in it has finished, sorted by key in O(n + span): a counting pass groups
+// each photon's records in id order, and an insertion pass orders a
+// photon's few records by index. Every tree so sees its records in
+// (photon id, index) order, the order the serial run tallies in.
+class OrderedRouter final : public BinSink {
+ public:
+  OrderedRouter(const std::vector<int>& owner, int rank, WireBuffer& wire,
+                std::uint64_t first_photon, std::uint64_t last_photon, std::uint64_t span)
+      : owner_(&owner), rank_(rank), wire_(&wire), first_(first_photon), last_(last_photon),
+        span_(span) {}
+
+  void key(std::uint64_t photon, int index) {
+    photon_ = photon;
+    index_ = index;
+  }
+
+  void record(const BounceRecord& rec) override {
+    const KeyedRecord keyed = make_keyed_record(photon_, index_, rec);
+    const int owner = (*owner_)[static_cast<std::size_t>(rec.patch)];
+    if (owner == rank_) {
+      hold(keyed);
+    } else {
+      wire_->append(owner, keyed);
+    }
+  }
+
+  void hold(const KeyedRecord& keyed) {
+    const std::uint64_t b = (keyed.photon - first_) / span_ - applied_;
+    if (b >= buckets_.size()) buckets_.resize(static_cast<std::size_t>(b) + 1);
+    buckets_[static_cast<std::size_t>(b)].push_back(keyed);
+  }
+
+  // Applies, in order, every bucket whose photons all lie below `watermark`;
+  // returns the records applied.
+  std::uint64_t apply_below(std::uint64_t watermark, BinForest& forest) {
+    std::uint64_t applied = 0;
+    while (!buckets_.empty() && std::min(first_ + (applied_ + 1) * span_, last_) <= watermark) {
+      const std::vector<KeyedRecord>& bucket = buckets_.front();
+      const std::uint64_t base = first_ + applied_ * span_;
+      starts_.assign(static_cast<std::size_t>(std::min(span_, last_ - base)) + 1, 0);
+      for (const KeyedRecord& keyed : bucket) ++starts_[keyed.photon - base + 1];
+      std::partial_sum(starts_.begin(), starts_.end(), starts_.begin());
+      sorted_.resize(bucket.size());
+      for (const KeyedRecord& keyed : bucket) sorted_[starts_[keyed.photon - base]++] = keyed;
+      for (std::size_t i = 1; i < sorted_.size(); ++i) {
+        for (std::size_t j = i; j > 0 && sorted_[j] < sorted_[j - 1]; --j) {
+          std::swap(sorted_[j], sorted_[j - 1]);
+        }
+      }
+      for (const KeyedRecord& keyed : sorted_) {
+        const BounceRecord rec = from_wire(keyed.rec);
+        forest.record(rec.patch, rec.front, rec.coords, rec.channel);
+      }
+      applied += bucket.size();
+      buckets_.pop_front();
+      ++applied_;
+    }
+    return applied;
+  }
+
+ private:
+  const std::vector<int>* owner_;
+  int rank_;
+  WireBuffer* wire_;
+  std::uint64_t first_, last_, span_;
+  std::uint64_t photon_ = 0;
+  int index_ = 0;
+  std::uint64_t applied_ = 0;  // buckets applied so far
+  std::deque<std::vector<KeyedRecord>> buckets_;
+  std::vector<std::uint32_t> starts_;  // counting-sort scratch, reused
+  std::vector<KeyedRecord> sorted_;
+};
 
 }  // namespace
 
 RunResult run_spatial(const Scene& scene, const RunConfig& config, const RunResult* resume) {
   const int nranks = std::max(config.workers, 1);
-  const std::uint64_t resume_emitted = resume ? resume->counters.emitted : 0;
   // Photon ids continue where the checkpoint stopped: ids index disjoint RNG
   // blocks, so the resumed leg is the exact continuation of the same global
   // photon sequence.
-  const std::uint64_t first_photon = resume_emitted;
-  const std::uint64_t last_photon = resume_emitted + config.photons;
+  const std::uint64_t first_photon = resume ? resume->counters.emitted : 0;
+  const std::uint64_t last_photon = first_photon + config.photons;
   RunResult result;
   result.regions = partition_space(scene, nranks);
   result.ranks.resize(static_cast<std::size_t>(nranks));
   std::mutex result_mutex;
-
-  const Aabb root = [&] {
-    Aabb b;
-    for (const Aabb& r : result.regions) b.expand(r);
-    return b;
-  }();
+  const std::vector<Aabb>& regions = result.regions;
   const double epsilon = surface_epsilon(scene.bounds());
 
   // Fault plan and deadline/heartbeat policy ride in from the config; the
@@ -211,20 +230,24 @@ RunResult run_spatial(const Scene& scene, const RunConfig& config, const RunResu
   run_world(nranks, world_options, [&](Comm& comm) {
     const int rank = comm.rank();
     const int P = comm.size();
-    SpeedSampler sampler(rank == 0 ? config.trace_path : std::string(), resume_emitted);
-    const Aabb my_region = result.regions[static_cast<std::size_t>(rank)];
+    SpeedSampler sampler(rank == 0 ? config.trace_path : std::string(), first_photon);
+    const Aabb& my_region = regions[static_cast<std::size_t>(rank)];
 
-    // Local geometry: only the patches overlapping this region get indexed.
+    // Local geometry: the patches within a surface nudge of this region. A
+    // hit that rounding puts a hair past a face is then in the index of
+    // every region that can be asked for it, so the closest local hit within
+    // this region's stretch of a ray is the scene's closest hit.
+    const Aabb reach = my_region.padded(epsilon);
     std::vector<Patch> local_patches;
     std::vector<std::int32_t> local_to_global;
     for (std::size_t i = 0; i < scene.patch_count(); ++i) {
-      if (my_region.overlaps(scene.patch(static_cast<int>(i)).bounds())) {
+      if (reach.overlaps(scene.patch(static_cast<int>(i)).bounds())) {
         local_patches.push_back(scene.patch(static_cast<int>(i)));
         local_to_global.push_back(static_cast<std::int32_t>(i));
       }
     }
     // The local index honors the run's structure choice (config.accel); every
-    // structure is bitwise-equivalent, so region handoffs stay exact.
+    // structure is bitwise-equivalent to the brute scan.
     const std::unique_ptr<AccelStructure> local_tree = make_accel(config.accel);
     local_tree->build(local_patches);
     progress_tick(config, "accel-build", local_patches.size());
@@ -232,7 +255,7 @@ RunResult run_spatial(const Scene& scene, const RunConfig& config, const RunResu
     // Tree ownership by patch centroid region.
     std::vector<int> tree_owner(scene.patch_count());
     for (std::size_t i = 0; i < scene.patch_count(); ++i) {
-      tree_owner[i] = region_of(result.regions, scene.patch(static_cast<int>(i)).point_at(0.5, 0.5));
+      tree_owner[i] = region_of(regions, scene.patch(static_cast<int>(i)).point_at(0.5, 0.5));
     }
 
     BinForest forest(scene.patch_count(), config.policy);
@@ -243,6 +266,7 @@ RunResult run_spatial(const Scene& scene, const RunConfig& config, const RunResu
       // (lossless — virgin trees adopt the checkpoint structure wholesale).
       forest.merge_owned_trees(resume->forest, tree_owner, rank);
     }
+    const Tracer tracer(scene, config.limits);
 
     RankReport report;
     report.local_patches = local_patches.size();
@@ -255,19 +279,21 @@ RunResult run_spatial(const Scene& scene, const RunConfig& config, const RunResu
     PhotonStreamCursor streams(config.seed, next_emission, static_cast<std::uint64_t>(P));
     std::uint64_t global_injected = 0;  // rank 0's running emission total
 
-    // Owned records are tallied as they are produced; foreign records
-    // serialize straight into the outgoing bytes and ride one round behind
-    // the photon migration on their own tag (take() surrenders each round's
-    // bytes to the exchange and leaves the buffer refillable).
+    // Foreign records serialize straight into the outgoing bytes and ride one
+    // round behind the photon migration on their own tag (take() surrenders
+    // each round's bytes to the exchange and leaves the buffer refillable).
     WireBuffer record_wire(P);
-    RouterSink sink(forest, tree_owner, rank, record_wire, report.tallies);
+    OrderedRouter sink(tree_owner, rank, record_wire, first_photon, last_photon,
+                       std::max<std::uint64_t>(config.batch, 1) * static_cast<std::uint64_t>(P));
     WireBuffer photon_wire(P);
     std::optional<PendingExchange> pending_records;
+    // Every photon below the watermark has finished on every rank.
+    std::uint64_t watermark = first_photon;
     // Governed stop: once voted, every rank stops injecting fresh emissions
     // on the same round and the loop runs on until the in-flight photons
-    // drain (active == 0) — the emitted id set stays the contiguous prefix
-    // the lockstep striping guarantees, so the partial result resumes
-    // exactly like a count-bounded one.
+    // drain — the emitted id set stays the contiguous prefix the lockstep
+    // striping guarantees, so the partial result resumes exactly like a
+    // count-bounded one.
     bool stopping = false;
     RunStatus local_status = RunStatus::kComplete;
 
@@ -275,7 +301,53 @@ RunResult run_spatial(const Scene& scene, const RunConfig& config, const RunResu
       const std::vector<Bytes> in_records = exchange.finish();
       for (int s = 0; s < P; ++s) {
         if (s == rank) continue;
-        sink.apply_incoming(in_records[static_cast<std::size_t>(s)]);
+        for_each_wire<KeyedRecord>(in_records[static_cast<std::size_t>(s)],
+                                   [&](const KeyedRecord& k) { sink.hold(k); });
+      }
+    };
+
+    // Hands `flight` to the region holding its ray past t_min. True when
+    // that is this region; otherwise the photon is sent on or, past the last
+    // region, has escaped.
+    const double step = 0.5 * epsilon;
+    const auto stays_here = [&](const PhotonFlight& flight) {
+      const int next = next_region(regions, rank, Ray(flight.path.origin, flight.path.dir),
+                                   flight.t_min, step);
+      if (next == rank) return true;
+      if (next < 0) {
+        ++counters.escaped;
+      } else {
+        photon_wire.append(next, flight);
+        ++report.photons_out;
+      }
+      return false;
+    };
+
+    // Traces `flight`, whose ray this region holds from flight.t_min, until
+    // it is absorbed, terminated or gone. A hit counts only at or before the
+    // region's exit; otherwise no region along the ray so far holds a hit and
+    // the photon moves on with t_min at the exit, its ray unchanged. The
+    // bounce itself is the serial tracer's.
+    const auto trace_here = [&](PhotonFlight flight) {
+      for (;;) {
+        if (flight.path.bounces >= config.limits.max_bounces) {
+          ++counters.terminated;
+          return;
+        }
+        const Ray ray(flight.path.origin, flight.path.dir);
+        double enter = 0.0, exit = flight.t_min;
+        SceneHit hit;
+        if (my_region.hit(ray, kNoHit, enter, exit) &&
+            local_tree->intersect(ray, std::nextafter(exit, kNoHit), hit)) {
+          hit.patch = local_to_global[static_cast<std::size_t>(hit.patch)];
+          sink.key(flight.photon, flight.path.bounces + 1);
+          if (!tracer.scatter(hit, flight.path, flight.rng, sink, &counters)) return;
+          flight.t_min = 0.0;
+          if (my_region.contains(flight.path.origin)) continue;
+        } else {
+          flight.t_min = std::max(flight.t_min, exit);
+        }
+        if (!stays_here(flight)) return;
       }
     };
 
@@ -289,106 +361,64 @@ RunResult run_spatial(const Scene& scene, const RunConfig& config, const RunResu
       // Liveness tick (the heartbeat the failure detector reads) and the
       // scripted before-batch kill point.
       comm.batch_tick(round_index);
-      auto run_flight = [&](PhotonFlight flight) {
-        ++report.segments_traced;
-        const SegmentEnd end =
-            trace_segment(scene, *local_tree, local_to_global, my_region, root,
-                          config.limits, epsilon, flight, sink, counters);
-        if (end == SegmentEnd::kExitedRegion) {
-          const int dest = region_of(result.regions, flight.pos);
-          if (dest < 0) {
-            ++counters.escaped;
-          } else if (dest == rank) {
-            // Boundary rounding resolved back to us: nudge forward and retry
-            // next round to guarantee progress.
-            flight.pos += flight.dir * (10.0 * epsilon);
-            const int retry = region_of(result.regions, flight.pos);
-            if (retry >= 0 && retry != rank) {
-              photon_wire.append(retry, to_wire(flight));
-              ++report.photons_out;
-            } else {
-              ++counters.escaped;
-            }
-          } else {
-            photon_wire.append(dest, to_wire(flight));
-            ++report.photons_out;
-          }
-        }
-      };
 
       // Inject a batch of fresh emissions (ids striped by rank so the union
-      // over ranks is exactly [first_photon, last_photon)).
+      // over ranks is exactly [first_photon, last_photon)). The emission
+      // point may lie in another region; its first ray is placed like any.
       std::uint64_t injected = 0;
       while (!stopping && injected < config.batch && next_emission < last_photon) {
         PhotonFlight flight;
         flight.rng = streams.next();
+        flight.photon = next_emission;
         const EmissionSample emission = emitter.emit(flight.rng);
         ++emitted[static_cast<std::size_t>(emission.channel)];
-        ++counters.emitted;
-        flight.pos = emission.origin;
-        flight.dir = emission.dir;
-        flight.channel = emission.channel;
-
-        BounceRecord birth;
-        birth.patch = emission.patch;
-        birth.front = true;
-        birth.coords = BinCoords::from_local_dir(emission.s, emission.t, emission.dir_local);
-        birth.channel = static_cast<std::uint8_t>(emission.channel);
-        sink.record(birth);
-
-        // The emission point may not even be in our region; route it like any
-        // in-flight photon.
-        const int start_region = region_of(result.regions, flight.pos);
-        if (start_region == rank) {
-          run_flight(std::move(flight));
-        } else if (start_region >= 0) {
-          photon_wire.append(start_region, to_wire(flight));
-          ++report.photons_out;
-        } else {
-          ++counters.escaped;
+        sink.key(flight.photon, 0);
+        flight.path = tracer.begin(emission, sink, &counters);
+        if (my_region.contains(flight.path.origin) || stays_here(flight)) {
+          trace_here(std::move(flight));
         }
         next_emission += static_cast<std::uint64_t>(P);
         ++injected;
       }
 
-      // Work the photons received last round.
-      for (const PhotonFlight& f : inbox) run_flight(f);
+      // Work the photons received last round (their senders placed them here).
+      for (PhotonFlight& flight : inbox) trace_here(std::move(flight));
       inbox.clear();
 
       // Photon migration is synchronous: next round's tracing needs it.
       const std::vector<Bytes> in_photons =
           comm.alltoall(photon_wire.take(), kTagPhotons);
       for (int s = 0; s < P; ++s) {
-        for_each_wire<FlightWire>(in_photons[static_cast<std::size_t>(s)],
-                                  [&](const FlightWire& w) {
-                                    inbox.push_back(from_wire(w));
-                                    ++report.photons_in;
-                                  });
+        for_each_wire<PhotonFlight>(in_photons[static_cast<std::size_t>(s)],
+                                    [&](const PhotonFlight& flight) {
+                                      inbox.push_back(flight);
+                                      ++report.photons_in;
+                                    });
       }
 
       // Records overlap one full round: the batch posted last round drained
-      // while this round traced — tally it now, then post this round's batch.
+      // while this round traced; post this round's batch.
       if (pending_records) drain_records(*pending_records);
       pending_records.emplace(comm.alltoall_start(record_wire.take(), kTagRecords));
       // Mid-exchange kill point: record sends posted, finish outstanding.
       comm.fault_point(FaultPoint::kMidExchange, round_index);
       ++report.rounds;
 
-      // Terminate when no photons are in flight and all emissions are done
-      // (or abandoned to a governed stop).
-      const std::uint64_t remaining =
-          !stopping && next_emission < last_photon
-              ? (last_photon - next_emission + static_cast<std::uint64_t>(P) - 1) /
-                    static_cast<std::uint64_t>(P)
-              : 0;
-      const std::uint64_t active =
-          comm.allreduce_sum_u64(static_cast<std::uint64_t>(inbox.size()) + remaining);
+      // The watermark: the lowest id in flight or not yet emitted (emissions
+      // abandoned to a governed stop never come), agreed by every rank. It
+      // reaching last_photon ends the loop on the same round everywhere.
+      std::uint64_t lowest = !stopping && next_emission < last_photon ? next_emission : last_photon;
+      for (const PhotonFlight& flight : inbox) lowest = std::min(lowest, flight.photon);
+      const std::uint64_t finished = watermark;
+      watermark = comm.allreduce_min_u64(lowest);
       // Governed stop agreement: one more unconditional allreduce per round
       // (collectives pair anonymously, so every rank must run it) — all
-      // ranks flip `stopping` on the same round.
+      // ranks flip `stopping` on the same round. The forest footprint walks
+      // every tree, so it is read only under a budget.
       if (config.governed && !stopping) {
+        const std::uint64_t footprint = config.memory_budget != 0 ? forest.memory_bytes() : 0;
         const std::uint64_t sum = comm.allreduce_sum_u64(
-            encode_stop_word(preempt_requested(config), forest.memory_bytes()));
+            encode_stop_word(preempt_requested(config), footprint));
         if (stop_word_preempted(sum)) {
           acknowledge_preempt(config);  // idempotent across ranks
           stopping = true;
@@ -412,18 +442,24 @@ RunResult run_spatial(const Scene& scene, const RunConfig& config, const RunResu
                      config.photons);
         sampler.sample(global_injected);
       }
+      // Every record of a photon below last round's watermark arrived in the
+      // drain above. Applying them after the collectives lets a busy owner's
+      // apply overlap the other ranks' next round of tracing.
+      report.tallies += sink.apply_below(finished, forest);
       comm.fault_point(FaultPoint::kAfterBatch, round_index);
       progress_tick(config, "dist-spatial", round_index);
       ++round_index;
-      if (active == 0) break;
+      if (watermark == last_photon) break;
     }
     // One more liveness tick so the gather below is not instantly stale to
     // a peer's failure detector.
     comm.heartbeat(round_index + 1);
 
     // The last round's records are still in flight; every rank left the loop
-    // on the same round, so the drain matches the pending sends exactly.
+    // on the same round, so the drain matches the pending sends exactly, and
+    // every photon has finished.
     if (pending_records) drain_records(*pending_records);
+    report.tallies += sink.apply_below(last_photon, forest);
 
     // Gather owned trees and totals on rank 0 (binary frames; par/gather.hpp,
     // shared with the other partitioned-forest backends).

@@ -8,17 +8,19 @@
 // then be queued and sent in a batch to the appropriate processors."
 //
 // Space is partitioned into one axis-aligned region per rank (recursive
-// bisection balancing patch counts). Each rank builds an octree over only the
-// patches overlapping its region. A photon traces inside the current region
-// until it is absorbed or crosses a region face, at which point it is queued
-// for the neighbouring owner and exchanged in the next batched all-to-all
-// (engine/wire.hpp defines the shared codec). `config.workers` sets the rank
-// count.
+// bisection balancing patch counts). Each rank indexes only the patches
+// within a surface nudge of its region, with the run's acceleration
+// structure. `config.workers` sets the rank count.
 //
-// Every photon carries its own RNG stream (a disjoint 4096-element block of
-// the global sequence), so its path is identical no matter which ranks
-// execute its segments — the partition cannot change the answer, which the
-// test suite verifies against a single-octree reference run.
+// It answers bitwise-equal to the serial run at every rank count (DESIGN.md,
+// "Spatial decomposition"):
+//  - every photon draws from its own RNG block, and a region runs the serial
+//    tracer's bounce body (Tracer::scatter);
+//  - a flight keeps its ray across hand-offs: a region accepts its closest
+//    local hit only at or before its own exit, else passes the photon on
+//    with t_min at the exit, so the accepted hit is the scene's closest;
+//  - records are keyed by (photon id, index along the path), and each owner
+//    applies them in key order once every lower id has finished.
 #pragma once
 
 #include <cstdint>
@@ -38,10 +40,10 @@ std::vector<Aabb> partition_space(const Scene& scene, int nranks);
 // points resolve to exactly one region); -1 when outside all regions.
 int region_of(const std::vector<Aabb>& regions, const Vec3& p);
 
-// Runs the distributed-geometry simulation on `config.workers` MiniMPI ranks.
-// A `resume` result (a loaded checkpoint) is folded into the partitioned
-// trees, and photon ids continue where the checkpoint stopped — the resumed
-// leg draws the exact continuation of the same global per-photon streams.
+// Runs the distributed-geometry simulation on `config.workers` MiniMPI ranks,
+// `config.batch` fresh photons per rank per round. A `resume` result (a
+// loaded checkpoint) is folded into the partitioned trees, and photon ids
+// continue where the checkpoint stopped: a bitwise continuation.
 RunResult run_spatial(const Scene& scene, const RunConfig& config,
                       const RunResult* resume = nullptr);
 

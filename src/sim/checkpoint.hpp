@@ -5,9 +5,8 @@
 // checkpoint captures the bin forest (already the "answer file") and the
 // trace counters. Photon i's random numbers follow from its index alone
 // (core/rng.hpp), so the emitted count is the whole RNG state: resuming
-// through a backend that reports supports_resume() continues the id
-// sequence, and the `serial` and particle-engine continuations are bitwise
-// identical to an uninterrupted run (verified by the test suite).
+// through any backend continues the id sequence, bitwise identical to an
+// uninterrupted run (verified by the test suite).
 //
 // The v4 byte format is [magic "PHOTNCK4"][u64 payload length][payload]
 // [u64 XXH64 of the payload], the payload being five counter words and the

@@ -2,11 +2,17 @@
 // DetermineBin, Reflect — repeated until the photon is probabilistically
 // absorbed (or escapes an open scene).
 //
+// Tracer::scatter is the one bounce body: every trace loop runs it, whether
+// it finds the hit with the whole scene's index (Tracer::trace, which serial
+// and the particle engine call per photon) or region by region (the spatial
+// decomposition, par/spatial.hpp). A photon's path is therefore the same
+// wherever it is traced.
+//
 // Where the tallies *go* is abstracted behind BinSink: the serial simulator
-// records straight into a BinForest, the shared-memory version into
-// chunk-private buffers drained per tree after each window, and the
-// distributed version enqueues records owned by other ranks for the batched
-// all-to-all exchange (Fig 5.3).
+// records straight into a BinForest, the particle engine into chunk-private
+// buffers applied in photon-id order after each window, and the spatial
+// decomposition keys each record with its place in the photon sequence for
+// the owner's ordered apply.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +21,7 @@
 #include "geom/scene.hpp"
 #include "hist/binforest.hpp"
 #include "material/brdf.hpp"
+#include "material/polarization.hpp"
 #include "sim/emitter.hpp"
 
 namespace photon {
@@ -84,6 +91,17 @@ inline TraceCounters& operator+=(TraceCounters& a, const TraceCounters& b) {
 // needlessly coarse for tiny ones.
 double surface_epsilon(const Aabb& bounds);
 
+// A photon between bounces: the ray it travels next (from the nudged last
+// hit point, or the emission point), its channel (fluorescent surfaces may
+// shift it), its polarization, and the reflections recorded so far.
+struct PhotonPath {
+  Vec3 origin;
+  Vec3 dir;
+  Polarization pol = Polarization::unpolarized();
+  int channel = 0;
+  int bounces = 0;
+};
+
 class Tracer {
  public:
   explicit Tracer(const Scene& scene, TraceLimits limits = {});
@@ -94,12 +112,16 @@ class Tracer {
   void trace(const EmissionSample& emission, Lcg48& rng, BinSink& sink,
              TraceCounters* counters = nullptr) const;
 
-  const Scene& scene() const { return *scene_; }
+  // Tallies the emission on the luminaire and returns the photon's first ray.
+  PhotonPath begin(const EmissionSample& emission, BinSink& sink,
+                   TraceCounters* counters) const;
 
-  // The scene-scaled self-intersection nudge this tracer applies after every
-  // bounce. Exposed so other trace loops (the spatial decomposition's
-  // segment tracer) can reproduce photon paths exactly.
-  double epsilon() const { return epsilon_; }
+  // One reflection at `hit` (hit.patch is a scene patch id): back-face
+  // absorption, the local frame, the BRDF draw, the record and the surface
+  // nudge that starts `path`'s next ray. Returns false when the photon is
+  // absorbed.
+  bool scatter(const SceneHit& hit, PhotonPath& path, Lcg48& rng, BinSink& sink,
+               TraceCounters* counters) const;
 
  private:
   const Scene* scene_;

@@ -1,14 +1,11 @@
-// Cross-backend conformance suite: every backend in the registry is run
-// through the same matrix — repeat-determinism, conservation, bitwise
-// equality against the serial reference at the shapes where the backend
-// contracts it, and checkpoint-resume across a leg boundary.
+// Cross-backend conformance suite: every backend name is run through the
+// same matrix — repeat-determinism, conservation, bitwise equality against
+// the serial reference at every shape it lists, and bitwise checkpoint-resume
+// across a leg boundary.
 //
-// The matrix is data-driven from contract_for(name): registering a new
-// backend automatically enrolls it in the determinism + conservation +
-// resume legs at default shapes; pinning it bitwise only requires adding its
-// contract here. One reference kind exists: the serial run, on per-photon
-// RNG streams. serial, shared, dist-particle and hybrid equal it at every
-// shape; dist-spatial at one rank.
+// One contract, one reference: every name answers bitwise-equal to the
+// serial run, on per-photon RNG streams, at every shape. A backend's entry
+// in shapes_for() only says which shapes the matrix runs.
 //
 // The suite is additionally parameterized over the acceleration structure
 // behind the AccelStructure seam: every backend runs the matrix on
@@ -44,38 +41,15 @@ struct Shape {
   int workers = 1;
 };
 
-struct BackendContract {
-  std::vector<Shape> shapes;             // every shape the matrix runs
-  bool bitwise_reference = false;        // == the serial run...
-  bool reference_at_every_shape = false; // ...at all shapes, or only 1x1
-  bool resume_bitwise = false;  // leg1+leg2 == straight run, bit for bit
-  // Repeated runs reproduce the forest bit for bit at every shape.
-  bool repeat_bitwise_at_every_shape = true;
-};
-
-BackendContract contract_for(const std::string& name) {
-  if (name == "serial") {
-    return {{{1, 1}}, true, true, true, true};
-  }
-  if (name == "shared") {
-    // The particle engine at 1 × workers, the oversubscribed 1x8 included.
-    return {{{1, 1}, {1, 2}, {1, 4}, {1, 8}}, true, true, true, true};
-  }
-  if (name == "dist-particle") {
-    // The particle engine at workers × 1.
-    return {{{1, 1}, {1, 2}, {1, 4}}, true, true, true, true};
-  }
-  if (name == "dist-spatial") {
-    return {{{1, 1}, {1, 2}, {1, 4}}, true, false, false, true};
-  }
-  if (name == "hybrid") {
-    // The particle engine at groups × workers, pinned on all bundled scenes
-    // below.
-    return {{{1, 1}, {1, 4}, {2, 2}, {4, 1}, {4, 2}}, true, true, true, true};
-  }
-  // A backend this table has never heard of still gets the full determinism,
-  // conservation and resume-conservation matrix for free.
-  return {{{1, 1}, {1, 2}, {1, 4}}, false, false, false, true};
+// Every shape the matrix runs per name; the last is the widest.
+std::vector<Shape> shapes_for(const std::string& name) {
+  if (name == "serial") return {{1, 1}};
+  // The particle engine at 1 × workers, the oversubscribed 1x8 included.
+  if (name == "shared") return {{1, 1}, {1, 2}, {1, 4}, {1, 8}};
+  // The particle engine at workers × 1; dist-spatial at workers regions.
+  if (name == "dist-particle" || name == "dist-spatial") return {{1, 1}, {1, 2}, {1, 4}};
+  // The particle engine at groups × workers (hybrid).
+  return {{1, 1}, {1, 4}, {2, 2}, {4, 1}, {4, 2}};
 }
 
 struct NamedScene {
@@ -145,12 +119,9 @@ class ConformanceTest : public ::testing::TestWithParam<ConformanceParam> {};
 
 TEST_P(ConformanceTest, RepeatRunsAreBitwiseIdentical) {
   const auto& [backend, accel] = GetParam();
-  const BackendContract contract = contract_for(backend);
   const NamedScene& cell = bundled_scenes()[0];  // cornell
   const Scene& scene = scene_for(cell, accel);
-  for (const Shape& shape : contract.shapes) {
-    const bool one_worker = shape.groups == 1 && shape.workers == 1;
-    if (!contract.repeat_bitwise_at_every_shape && !one_worker) continue;
+  for (const Shape& shape : shapes_for(backend)) {
     const RunConfig cfg = config_for(shape, cell.photons, accel);
     const RunResult a = run_named(backend, scene, cfg);
     const RunResult b = run_named(backend, scene, cfg);
@@ -162,10 +133,9 @@ TEST_P(ConformanceTest, RepeatRunsAreBitwiseIdentical) {
 
 TEST_P(ConformanceTest, ConservesEmissionsAndRecords) {
   const auto& [backend, accel] = GetParam();
-  const BackendContract contract = contract_for(backend);
   const NamedScene& cell = bundled_scenes()[0];
   const Scene& scene = scene_for(cell, accel);
-  for (const Shape& shape : contract.shapes) {
+  for (const Shape& shape : shapes_for(backend)) {
     const RunConfig cfg = config_for(shape, cell.photons, accel);
     const RunResult r = run_named(backend, scene, cfg);
     // Every photon in the budget is emitted exactly once...
@@ -181,20 +151,13 @@ TEST_P(ConformanceTest, ConservesEmissionsAndRecords) {
 
 TEST_P(ConformanceTest, BitwiseEqualToTheSerialReference) {
   const auto& [backend, accel] = GetParam();
-  const BackendContract contract = contract_for(backend);
-  if (!contract.bitwise_reference) {
-    GTEST_SKIP() << backend << " contracts no bitwise reference shape";
-  }
   for (const NamedScene& cell : bundled_scenes()) {
     // The reference is always the octree-built serial run: a non-octree cell
     // passing this pin means the structure's closest hits are bitwise-equal
     // through the whole simulation.
     const RunResult& reference = reference_run(cell);
     const Scene& scene = scene_for(cell, accel);
-    for (const Shape& shape : contract.shapes) {
-      if (!contract.reference_at_every_shape && (shape.groups != 1 || shape.workers != 1)) {
-        continue;
-      }
+    for (const Shape& shape : shapes_for(backend)) {
       const RunConfig cfg = config_for(shape, cell.photons, accel);
       const RunResult r = run_named(backend, scene, cfg);
       EXPECT_TRUE(r.forest == reference.forest)
@@ -207,15 +170,9 @@ TEST_P(ConformanceTest, BitwiseEqualToTheSerialReference) {
 
 TEST_P(ConformanceTest, ResumeContinuesAcrossALegBoundary) {
   const auto& [backend, accel] = GetParam();
-  const BackendContract contract = contract_for(backend);
-  const auto instance = make_backend(backend);
-  ASSERT_NE(instance, nullptr);
-  if (!instance->supports_resume()) {
-    GTEST_SKIP() << backend << " does not support resume";
-  }
   const NamedScene& cell = bundled_scenes()[0];
   const Scene& scene = scene_for(cell, accel);
-  const Shape shape = contract.shapes.back();  // the widest shape
+  const Shape shape = shapes_for(backend).back();  // the widest shape
 
   RunConfig leg1 = config_for(shape, 2000, accel);
   RunConfig leg2 = config_for(shape, 1000, accel);
@@ -224,12 +181,10 @@ TEST_P(ConformanceTest, ResumeContinuesAcrossALegBoundary) {
   const RunResult resumed = run_named(backend, scene, leg2, &first);
   EXPECT_EQ(resumed.forest.emitted_total(), straight.photons);
   EXPECT_EQ(resumed.counters.emitted, straight.photons);
-  if (contract.resume_bitwise) {
-    const RunResult uninterrupted = run_named(backend, scene, straight);
-    EXPECT_TRUE(resumed.forest == uninterrupted.forest)
-        << backend << " @ " << shape.groups << "x" << shape.workers;
-    EXPECT_EQ(resumed.counters.bounces, uninterrupted.counters.bounces);
-  }
+  const RunResult uninterrupted = run_named(backend, scene, straight);
+  EXPECT_TRUE(resumed.forest == uninterrupted.forest)
+      << backend << " @ " << shape.groups << "x" << shape.workers;
+  EXPECT_EQ(resumed.counters.bounces, uninterrupted.counters.bounces);
 }
 
 // Every backend × octree, plus a cross-structure band: serial (the
@@ -257,9 +212,8 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ConformanceTest,
                          });
 
 // --- Elastic resume across a CHANGED shape: checkpoint at width P0, resume
-// at width P1 through the checkpoint byte-format round-trip. Conservation
-// holds for every (P0, P1) cell; bitwise equality wherever the answer is
-// shape-invariant — the particle engine (dist-particle, hybrid) everywhere.
+// at width P1 through the checkpoint byte-format round-trip. Every (P0, P1)
+// cell conserves and equals the straight run bit for bit.
 class ElasticResumeTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ElasticResumeTest, CheckpointAtOneWidthResumesAtAnother) {
@@ -296,13 +250,11 @@ TEST_P(ElasticResumeTest, CheckpointAtOneWidthResumesAtAnother) {
                   resumed.counters.emitted + resumed.counters.bounces)
             << label;
 
-        if (backend != "dist-spatial") {
-          RunConfig straight_cfg = config_for(shape1, total);
-          straight_cfg.batch = 100;
-          const RunResult straight = run_named(backend, *cell.scene, straight_cfg);
-          EXPECT_TRUE(resumed.forest == straight.forest) << label;
-          EXPECT_EQ(resumed.counters.bounces, straight.counters.bounces) << label;
-        }
+        RunConfig straight_cfg = config_for(shape1, total);
+        straight_cfg.batch = 100;
+        const RunResult straight = run_named(backend, *cell.scene, straight_cfg);
+        EXPECT_TRUE(resumed.forest == straight.forest) << label;
+        EXPECT_EQ(resumed.counters.bounces, straight.counters.bounces) << label;
       }
     }
   }
@@ -319,12 +271,12 @@ INSTANTIATE_TEST_SUITE_P(DistributedBackends, ElasticResumeTest,
 // --- Resume at ANY leg boundary: a leg may end mid-window (the elastic
 // runner cuts legs at any photon count, and a governed stop ends one
 // wherever the window ends), and the continuation must still equal the
-// uninterrupted run bit for bit — on serial and every particle-engine name,
-// at every shape, on every bundled scene.
+// uninterrupted run bit for bit — on every name, at every shape, on every
+// bundled scene.
 std::vector<Shape> leg_resume_shapes(const std::string& backend) {
   if (backend == "serial") return {{1, 1}};
   if (backend == "shared") return {{1, 1}, {1, 2}};
-  if (backend == "dist-particle") return {{1, 1}, {1, 2}, {1, 4}};
+  if (backend == "dist-particle" || backend == "dist-spatial") return {{1, 1}, {1, 2}, {1, 4}};
   std::vector<Shape> shapes;
   for (const int G : {1, 2, 4}) {
     for (const int T : {1, 2}) shapes.push_back({G, T});
@@ -356,8 +308,9 @@ TEST_P(LegBoundaryResumeTest, AnyLegBoundaryResumesBitwise) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(SerialAndParticleNames, LegBoundaryResumeTest,
-                         ::testing::Values("serial", "shared", "dist-particle", "hybrid"),
+INSTANTIATE_TEST_SUITE_P(AllNames, LegBoundaryResumeTest,
+                         ::testing::Values("serial", "shared", "dist-particle", "hybrid",
+                                           "dist-spatial"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            std::replace(name.begin(), name.end(), '-', '_');

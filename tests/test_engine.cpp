@@ -31,22 +31,10 @@ TEST(BackendRegistry, UnknownNameReturnsNull) {
   EXPECT_EQ(make_backend(""), nullptr);
 }
 
-TEST(BackendRegistry, RuntimeRegistrationAndCollision) {
-  class FakeBackend final : public Backend {
-   public:
-    std::string name() const override { return "fake"; }
-    RunResult run(const Scene&, const RunConfig&, const RunResult*) override { return {}; }
-  };
-  EXPECT_TRUE(register_backend("fake", [] { return std::make_unique<FakeBackend>(); }));
-  EXPECT_NE(make_backend("fake"), nullptr);
-  // Names are first-come-first-served; the built-ins cannot be shadowed.
-  EXPECT_FALSE(register_backend("serial", [] { return std::make_unique<FakeBackend>(); }));
-}
-
 // The per-backend bitwise-vs-serial pins (shared@1, dist-particle@1,
 // hybrid@every shape, ...) moved to the cross-backend conformance suite —
-// tests/test_conformance.cpp — which runs every registered backend through
-// the same matrix on all bundled scenes.
+// tests/test_conformance.cpp — which runs every backend name through the
+// same matrix on all bundled scenes.
 
 TEST(CrossBackend, SharedMatchesSerialPhotonStreamReference) {
   // Photon i draws from RNG stream i on both backends, so at any worker
@@ -108,14 +96,6 @@ TEST(CrossBackend, SharedResumeDoesNotReplayTheFirstLeg) {
                leg2.absorbed == first.counters.absorbed &&
                leg2.escaped == first.counters.escaped)
       << "resumed leg reproduced the first leg's photons";
-}
-
-TEST(CrossBackend, ResumeSupportIsAdvertisedCorrectly) {
-  // Every built-in backend resumes since BinForest::merge landed: the
-  // distributed backends fold a checkpoint into their partitioned trees.
-  for (const char* name : {"serial", "shared", "dist-particle", "dist-spatial", "hybrid"}) {
-    EXPECT_TRUE(make_backend(name)->supports_resume()) << name;
-  }
 }
 
 TEST(BatchControllerClamp, GrowthClampsExactlyToMax) {

@@ -1,10 +1,9 @@
 // Backend-level fault injection and recovery (engine/recovery.hpp on top of
-// mp/fault.hpp): a scripted rank death must recover bitwise where the answer
-// is shape-invariant (the particle engine at every shape), conserve every
-// tally everywhere, and never hang — with announce_death the cascade wakes
-// blocked peers without any deadline; without it the heartbeat detector
-// declares the loss. CI runs this file under the `faults` ctest label,
-// including the TSan job.
+// mp/fault.hpp): a scripted rank death must recover bitwise (every backend
+// answers shape-invariant), conserve every tally, and never hang — with
+// announce_death the cascade wakes blocked peers without any deadline;
+// without it the heartbeat detector declares the loss. CI runs this file
+// under the `faults` ctest label, including the TSan job.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -47,8 +46,8 @@ RunConfig fault_config(std::uint64_t photons) {
   return cfg;
 }
 
-// The serial reference — what the particle engine equals at EVERY shape, so
-// also what a recovered run must equal at the survivor shape.
+// The serial reference — what every backend equals at EVERY shape, so also
+// what a recovered run must equal at the survivor shape.
 const RunResult& stream_reference(const FaultScene& cell) {
   static std::map<std::string, RunResult> cache;
   const auto it = cache.find(cell.name);
@@ -196,6 +195,8 @@ TEST(ElasticRunner, DistSpatialRankDeathConservesTallies) {
   EXPECT_EQ(stats.failures, 1);
   EXPECT_EQ(stats.final_width, 2);
   expect_conserved(r, cell.photons, "dist-spatial");
+  EXPECT_TRUE(r.forest == stream_reference(cell).forest);
+  EXPECT_EQ(r.counters.bounces, stream_reference(cell).counters.bounces);
 }
 
 TEST(ElasticRunner, DelayIsAbsorbedByDeadlineRetriesWithoutRecovery) {
@@ -218,11 +219,11 @@ TEST(ElasticRunner, DelayIsAbsorbedByDeadlineRetriesWithoutRecovery) {
 }
 
 TEST(ElasticRunner, DroppedDeliveryFailsLoudlyAndRecovers) {
-  // A dropped record delivery starves a receiver. Depending on who expires
-  // first the detector declares a (live but blocked) rank dead or reports a
-  // plain timeout — either way the world fails LOUDLY, the runner recovers,
-  // and the consumed drop cannot re-fire. The final answer must be bitwise
-  // regardless of which path the race took.
+  // A dropped record delivery starves a receiver while its peer waits in
+  // the next collective. Both waits are deadline-bounded, so the detector
+  // counts both ranks alive and the world fails LOUDLY with a plain timeout
+  // (never declaring both ranks dead); the runner retries at the same shape,
+  // and the consumed drop cannot re-fire. The final answer must be bitwise.
   const FaultScene& cell = fault_scenes()[0];
   RunConfig cfg = fault_config(cell.photons);
   cfg.comm.deadline_s = 0.02;

@@ -231,15 +231,13 @@ TEST(Governance, GovernedFlagAloneChangesNothing) {
 TEST(Governance, PreemptResumeIsBitwiseOnEveryBackend) {
   // The tentpole acceptance, in-process: preempt at the first window
   // boundary, resume the remainder, and require the stitched run to equal
-  // the uninterrupted one bit for bit. dist-spatial contracts bitwise resume
-  // only at width 1 (at wider shapes a resume shifts the round boundaries
-  // and with them the cross-owner record interleaving), so it runs here at
-  // workers=1; every other backend runs at the full test shape.
+  // the uninterrupted one bit for bit — every backend at the full test
+  // shape (dist-spatial on two regions: its governed stop drains the
+  // in-flight photons, so the partial result is a contiguous emitted prefix
+  // with every record tallied).
   for (const std::string& name : all_backends()) {
     const auto backend = make_backend(name);
-    ASSERT_TRUE(backend->supports_resume()) << name;
     RunConfig cfg = gov_config();
-    if (name == "dist-spatial") cfg.workers = 1;
     cfg.governed = true;
     clear_preempt();
     const RunResult reference = backend->run(small_scene(), cfg, nullptr);
@@ -250,6 +248,9 @@ TEST(Governance, PreemptResumeIsBitwiseOnEveryBackend) {
     EXPECT_EQ(part.status, RunStatus::kPreempted) << name;
     ASSERT_GT(part.counters.emitted, 0u) << name;
     ASSERT_LT(part.counters.emitted, kPhotons) << name;
+    EXPECT_EQ(part.forest.emitted_total(), part.counters.emitted) << name;
+    EXPECT_EQ(part.forest.total_tally_all(), part.counters.emitted + part.counters.bounces)
+        << name;
 
     RunConfig rest = cfg;
     rest.photons = kPhotons - part.counters.emitted;
@@ -259,28 +260,6 @@ TEST(Governance, PreemptResumeIsBitwiseOnEveryBackend) {
     EXPECT_EQ(resumed.counters.bounces, reference.counters.bounces) << name;
     expect_conserved(resumed, kPhotons, name);
   }
-}
-
-TEST(Governance, SpatialPreemptResumeConservesAtWidth2) {
-  // The wide-shape dist-spatial contract: the governed stop leaves a
-  // contiguous emitted prefix, the resume completes the budget, and every
-  // record is tallied exactly once — conservation, not bitwise.
-  const auto backend = make_backend("dist-spatial");
-  RunConfig cfg = gov_config();
-  cfg.governed = true;
-  request_preempt();
-  RunResult part = backend->run(small_scene(), cfg, nullptr);
-  clear_preempt();
-  ASSERT_EQ(part.status, RunStatus::kPreempted);
-  ASSERT_GT(part.counters.emitted, 0u);
-  ASSERT_LT(part.counters.emitted, kPhotons);
-  EXPECT_EQ(part.forest.emitted_total(), part.counters.emitted);
-
-  RunConfig rest = cfg;
-  rest.photons = kPhotons - part.counters.emitted;
-  const RunResult resumed = backend->run(small_scene(), rest, &part);
-  EXPECT_EQ(resumed.status, RunStatus::kComplete);
-  expect_conserved(resumed, kPhotons, "dist-spatial@2");
 }
 
 TEST(Governance, PreemptedResultRoundTripsThroughACheckpoint) {
@@ -374,7 +353,6 @@ TEST(RunControlScope, BackToBackGovernedRunsDoNotInheritTheVote) {
   for (const std::string& name : all_backends()) {
     const auto backend = make_backend(name);
     RunConfig cfg = gov_config();
-    if (name == "dist-spatial") cfg.workers = 1;
     cfg.governed = true;
     cfg.control = std::make_shared<RunControl>();
 
@@ -817,11 +795,11 @@ TEST(CliGovernance, ExitCodeTable) {
 
 // SIGTERM mid-run must exit with the resumable code 5 having written a
 // loadable checkpoint and NO answer file; rerunning the identical command
-// must resume and produce a bitwise-identical answer. The full matrix
-// (serial, shared, hybrid) is the issue's acceptance test.
+// must resume and produce a bitwise-identical answer: serial, the particle
+// engine (as shared and hybrid) and dist-spatial.
 TEST(CliGovernance, SigtermResumeIsBitwise) {
   const std::string dir = testing::TempDir();
-  for (const std::string bk : {"serial", "shared", "hybrid"}) {
+  for (const std::string bk : {"serial", "shared", "hybrid", "dist-spatial"}) {
     const std::string ref = dir + "gov_ref_" + bk + ".bin";
     const std::string ref_ckpt = dir + "gov_ref_" + bk + ".ckpt";
     const std::string ans = dir + "gov_ans_" + bk + ".bin";

@@ -1,16 +1,16 @@
-// WireBuffer / RouterSink contracts: records serialized in place into the
-// per-destination byte buffers must round-trip bit for bit against the legacy
-// vector-staged pack/unpack path, and the router must tally owned records
-// locally while forwarding foreign ones untouched.
+// Wire contracts: records serialized in place into the per-destination byte
+// buffers must round-trip bit for bit against the vector-staged pack/unpack
+// path, and an in-flight photon must cross the wire with every bit of its
+// path state, so the rank that continues it traces the serial path.
 #include "engine/wire.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "core/rng.hpp"
-#include "engine/sink.hpp"
 
 namespace photon {
 namespace {
@@ -27,18 +27,16 @@ WireRecord random_record(Lcg48& rng, int n_patches) {
   return w;
 }
 
-FlightWire random_flight(Lcg48& rng) {
-  FlightWire f{};
-  f.px = rng.uniform();
-  f.py = rng.uniform();
-  f.pz = rng.uniform();
-  f.dx = rng.uniform() * 2 - 1;
-  f.dy = rng.uniform() * 2 - 1;
-  f.dz = rng.uniform() * 2 - 1;
-  f.rng_state = rng.next_bits();
-  f.bounces = static_cast<std::int32_t>(rng.uniform_int(100));
-  f.channel = static_cast<std::uint8_t>(rng.uniform_int(3));
-  f.pol_s = static_cast<float>(rng.uniform());
+PhotonFlight random_flight(Lcg48& rng) {
+  PhotonFlight f;
+  f.path.origin = {rng.uniform(), rng.uniform(), rng.uniform()};
+  f.path.dir = {rng.uniform() * 2 - 1, rng.uniform() * 2 - 1, rng.uniform() * 2 - 1};
+  f.path.pol = {rng.uniform(), rng.uniform()};
+  f.path.channel = static_cast<int>(rng.uniform_int(3));
+  f.path.bounces = static_cast<int>(rng.uniform_int(100));
+  f.rng.reset(rng.next_bits());
+  f.photon = rng.uniform_int(1ull << 36);
+  f.t_min = rng.uniform() * 10;
   return f;
 }
 
@@ -76,17 +74,17 @@ TEST(WireBuffer, RoundTripsRecordsAgainstLegacyPack) {
 TEST(WireBuffer, RoundTripsFlightsAgainstLegacyPack) {
   Lcg48 rng(77);
   WireBuffer wire(3);
-  std::vector<FlightWire> staged;
+  std::vector<PhotonFlight> staged;
   for (int i = 0; i < 257; ++i) {
-    const FlightWire f = random_flight(rng);
+    const PhotonFlight f = random_flight(rng);
     wire.append(1, f);
     staged.push_back(f);
   }
   EXPECT_EQ(wire.buffer(1), pack_flights(staged));
-  const std::vector<FlightWire> back = unpack_flights(wire.buffer(1));
+  const std::vector<PhotonFlight> back = unpack_flights(wire.buffer(1));
   ASSERT_EQ(back.size(), staged.size());
   for (std::size_t i = 0; i < staged.size(); ++i) {
-    EXPECT_EQ(0, std::memcmp(&back[i], &staged[i], sizeof(FlightWire)));
+    EXPECT_EQ(0, std::memcmp(&back[i], &staged[i], sizeof(PhotonFlight)));
   }
 }
 
@@ -108,57 +106,18 @@ TEST(WireBuffer, TakeSurrendersAndResets) {
   EXPECT_EQ(wire.total_bytes(), sizeof(WireRecord));
 }
 
-TEST(RouterSink, RoutesOwnedLocallyAndForeignToWire) {
-  const int n_patches = 6;
-  BinForest forest(n_patches);
-  const std::vector<int> owner = {0, 1, 2, 0, 1, 2};
-  WireBuffer wire(3);
-  std::uint64_t applied = 0;
-  RouterSink sink(forest, owner, /*rank=*/1, wire, applied);
-
-  Lcg48 rng(5);
-  std::uint64_t local = 0;
-  std::vector<std::uint64_t> foreign(3, 0);
-  for (int i = 0; i < 1000; ++i) {
-    const WireRecord w = random_record(rng, n_patches);
-    sink.record(from_wire(w));
-    const int o = owner[static_cast<std::size_t>(w.patch)];
-    if (o == 1) {
-      ++local;
-    } else {
-      ++foreign[static_cast<std::size_t>(o)];
-    }
+TEST(KeyedRecord, SortsByPhotonThenPathIndex) {
+  BounceRecord rec;
+  rec.patch = 3;
+  std::vector<KeyedRecord> keyed = {make_keyed_record(7, 2, rec), make_keyed_record(5, 9, rec),
+                                    make_keyed_record(7, 0, rec), make_keyed_record(5, 1, rec)};
+  std::sort(keyed.begin(), keyed.end());
+  const std::vector<std::pair<std::uint64_t, int>> want = {{5, 1}, {5, 9}, {7, 0}, {7, 2}};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(keyed[i].photon, want[i].first) << i;
+    EXPECT_EQ(keyed[i].rec.pad, want[i].second) << i;
+    EXPECT_EQ(keyed[i].rec.patch, 3) << i;
   }
-  EXPECT_EQ(applied, local);
-  EXPECT_EQ(forest.total_tally_all(), local);
-  EXPECT_TRUE(wire.buffer(1).empty());  // never routes to self
-  EXPECT_EQ(wire_count<WireRecord>(wire.buffer(0)), foreign[0]);
-  EXPECT_EQ(wire_count<WireRecord>(wire.buffer(2)), foreign[2]);
-
-  // Applying a foreign buffer on its owner tallies every record exactly once.
-  BinForest other(n_patches);
-  std::uint64_t other_applied = 0;
-  RouterSink other_sink(other, owner, /*rank=*/0, wire, other_applied);
-  other_sink.apply_incoming(wire.buffer(0));
-  EXPECT_EQ(other_applied, foreign[0]);
-  EXPECT_EQ(other.total_tally_all(), foreign[0]);
-}
-
-TEST(RouterSink, KeepsRoutingIntoTheBufferAfterTake) {
-  // The overlap contract: take() hands batch k to the exchange and the sink
-  // keeps serializing batch k+1 into the same (now empty) WireBuffer.
-  BinForest forest(2);
-  const std::vector<int> owner = {1, 1};
-  WireBuffer wire(2);
-  std::uint64_t applied = 0;
-  RouterSink sink(forest, owner, /*rank=*/0, wire, applied);
-  sink.record(BounceRecord{.patch = 0});
-  const std::vector<Bytes> batch_k = wire.take();
-  sink.record(BounceRecord{.patch = 1});
-  sink.record(BounceRecord{.patch = 1});
-  EXPECT_EQ(batch_k[1].size(), sizeof(WireRecord));
-  EXPECT_EQ(wire_count<WireRecord>(wire.buffer(1)), 2u);
-  EXPECT_EQ(applied, 0u);
 }
 
 }  // namespace
