@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     std::uint64_t max_patches = 0, max_nodes = 0, routed = 0;
     for (const RankReport& rep : r.ranks) {
       max_patches = std::max(max_patches, rep.local_patches);
-      max_nodes = std::max(max_nodes, rep.octree_nodes);
+      max_nodes = std::max(max_nodes, rep.local_nodes);
       routed += rep.photons_out;
     }
     std::printf("%5d | %12llu | %12llu | %13.1f%% | %12.3f\n", P,

@@ -8,7 +8,7 @@
 //       Print geometry/material/luminaire statistics.
 //   photon_cli simulate <scene> <answer-file> [--backend=NAME] [--photons=N]
 //                        [--seed=N] [--workers=N] [--groups=N] [--batch=N]
-//                        [--chunk=N] [--adapt] [--accel=octree|bvh|grid]
+//                        [--chunk=N] [--adapt] [--accel=octree|grid]
 //                        [--split-z=S] [--split-min=N]
 //                        [--split-leaf=N] [--split-growth=G] [--max-bounces=N]
 //                        [--checkpoint=FILE] [--resume=FILE] [--trace=FILE]
@@ -77,7 +77,7 @@
 //       named one).
 //   photon_cli submit --socket=PATH --scene=NAME [--backend=NAME]
 //                        [--photons=N] [--seed=N] [--workers=N] [--groups=N]
-//                        [--batch=N] [--chunk=N] [--accel=octree|bvh|grid]
+//                        [--batch=N] [--chunk=N] [--accel=octree|grid]
 //                        [--checkpoint=FILE] [--trace=FILE] [--wait]
 //       Submit one job to a running daemon; prints the service's one-line
 //       JSON response. --wait blocks until the job finishes and prints its
@@ -338,22 +338,18 @@ int cmd_simulate_impl(const Args& args, const std::string& spec, const std::stri
     throw ConfigError("unknown backend '" + backend_sel + "' (see `photon_cli backends`)");
   }
 
-  AccelKind accel = AccelKind::kOctree;
   if (const std::string* accel_name = args.get("accel")) {
-    if (!accel_kind_from_string(accel_name->c_str(), accel)) {
-      throw ConfigError("unknown accel '" + *accel_name + "' (supported: octree | bvh | grid)");
+    const AccelKind accel = parse_accel_kind(*accel_name);
+    if (accel != scene.accel_kind()) {
+      // load_any_scene built the default octree; swap and rebuild. Every
+      // structure answers bitwise-identical queries, so results do not change.
+      scene.set_accel(accel);
+      scene.build();
     }
-  }
-  if (accel != scene.accel_kind()) {
-    // load_any_scene built the default octree; swap and rebuild. Every
-    // structure answers bitwise-identical queries, so results do not change.
-    scene.set_accel(accel);
-    scene.build();
   }
   Progress::instance().tick("accel-build", scene.patch_count());
 
   RunConfig config;
-  config.accel = accel;
   config.photons = args.u64("photons", 500000);
   config.seed = args.u64("seed", config.seed);
   // Validate before the int narrowing: a 2^32+1 request must error, not
@@ -503,7 +499,7 @@ int cmd_simulate_impl(const Args& args, const std::string& spec, const std::stri
         "\"bounces_per_photon\": %.4f, \"absorbed\": %llu, \"escaped\": %llu, "
         "\"bins\": %llu, \"forest_depth\": %d, \"mean_tally_per_leaf\": %.2f, "
         "\"forest_bytes\": %llu}\n",
-        scene.name().c_str(), backend->name().c_str(), accel_kind_name(config.accel),
+        scene.name().c_str(), backend->name().c_str(), accel_kind_name(scene.accel_kind()),
         static_cast<unsigned long long>(result.counters.emitted), config.workers,
         config.groups, static_cast<unsigned long long>(config.seed), config.policy.z,
         static_cast<unsigned long long>(config.policy.min_count),
@@ -777,7 +773,7 @@ int usage() {
                "       photon_cli info <scene>\n"
                "       photon_cli simulate <scene> <answer> [--backend=NAME] [--photons=N]\n"
                "                  [--seed=N] [--workers=N] [--groups=N] [--batch=N]\n"
-               "                  [--chunk=N] [--adapt] [--accel=octree|bvh|grid]\n"
+               "                  [--chunk=N] [--adapt] [--accel=octree|grid]\n"
                "                  [--split-z=S] [--split-min=N] [--split-leaf=N]\n"
                "                  [--split-growth=G] [--max-bounces=N]\n"
                "                  [--checkpoint=FILE] [--resume=FILE] [--trace=FILE]\n"
@@ -794,7 +790,7 @@ int usage() {
                "                  [--watchdog-grace=SECONDS]\n"
                "       photon_cli submit --socket=PATH --scene=NAME [--backend=NAME]\n"
                "                  [--photons=N] [--seed=N] [--workers=N] [--groups=N]\n"
-               "                  [--batch=N] [--chunk=N] [--accel=octree|bvh|grid]\n"
+               "                  [--batch=N] [--chunk=N] [--accel=octree|grid]\n"
                "                  [--checkpoint=FILE] [--trace=FILE] [--wait]\n"
                "       photon_cli status --socket=PATH [--job=N]\n"
                "       photon_cli cancel --socket=PATH --job=N\n"

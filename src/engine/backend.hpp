@@ -62,7 +62,7 @@ struct RankReport {
 
   // Spatial decomposition (chapter 6).
   std::uint64_t local_patches = 0;    // patches overlapping this rank's region
-  std::uint64_t octree_nodes = 0;     // local octree size (the memory win)
+  std::uint64_t local_nodes = 0;      // local octree nodes or grid cells (the memory win)
   std::uint64_t photons_in = 0;       // in-flight photons received
   std::uint64_t photons_out = 0;      // in-flight photons forwarded
   std::uint64_t tallies = 0;          // records applied by this rank

@@ -3,7 +3,9 @@
 // One RunConfig drives every backend (serial, shared, dist-particle,
 // hybrid, dist-spatial); fields a backend does not use are simply ignored.
 // Defaults are backend-independent: fixed 10000-photon batches everywhere,
-// with the chapter-5 adaptive batching opt-in through adapt_batch.
+// with the chapter-5 adaptive batching opt-in through adapt_batch. The
+// acceleration structure is not a run knob: the scene owns it
+// (Scene::set_accel), and every index a run builds follows the scene's kind.
 #pragma once
 
 #include <cstdint>
@@ -66,12 +68,6 @@ struct RunConfig {
   // hybrid at groups > 1): probe photons (k) and assignment strategy.
   std::uint64_t lb_photons = 2000;
   bool bestfit = true;  // false: naive contiguous ownership
-
-  // Acceleration structure for every index the run builds: the scene's global
-  // index (built by the caller via Scene::set_accel) and dist-spatial's
-  // per-region local indexes. All structures answer queries bitwise
-  // identically, so this is a performance knob, not a semantics one.
-  AccelKind accel = AccelKind::kOctree;
 
   SplitPolicy policy{};
   TraceLimits limits{};

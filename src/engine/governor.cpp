@@ -372,13 +372,12 @@ AdmissionPlan govern_admission(Scene& scene, const RunConfig& config) {
   const std::uint64_t budget = config.memory_budget;
   if (budget == 0 || plan.estimated_bytes <= budget) return plan;
 
-  // Rung 2: coarsen the accel leaf parameters and rebuild — fatter leaves,
+  // Rung 1: coarsen the accel leaf parameters and rebuild — fatter leaves,
   // shallower tree, smaller index. Every structure answers queries bitwise
   // identically at any build parameters (the AccelStructure contract), so
   // this trades traversal speed for memory, never results.
   plan.accel_params.max_leaf_items = 64;
   plan.accel_params.max_depth = 8;
-  plan.accel_params.bvh_leaf_items = 16;
   plan.accel_params.grid_refine_threshold = 96;
   plan.accel_params.grid_sub_res = 2;
   plan.coarsened_accel = true;
@@ -387,7 +386,7 @@ AdmissionPlan govern_admission(Scene& scene, const RunConfig& config) {
   plan.estimated_bytes = admission_estimate_bytes(scene, config);
   if (plan.estimated_bytes <= budget) return plan;
 
-  // Rung 3: refuse admission. Window size is result-neutral on every
+  // Rung 2: refuse admission. Window size is result-neutral on every
   // backend, but no shrink-the-window rung exists yet.
   std::ostringstream what;
   what << "memory budget " << budget << " bytes refused: coarsest plan still needs ~"

@@ -30,9 +30,9 @@
 //                into a WedgedError (exit 6). A typed abort, never a hang.
 //
 //   MemoryBudget govern_admission applies the documented degradation ladder
-//                to an over-budget run before it starts: coarsen the accel
-//                leaf parameters (bitwise-neutral by contract), then refuse
-//                admission with a typed ResourceError. At run time the
+//                to an over-budget run before it starts: rung 1 coarsens the
+//                accel leaf parameters (bitwise-neutral by contract), rung 2
+//                refuses admission with a typed ResourceError. At run time the
 //                governed loops fold the forest footprint into the same stop
 //                word and stop with RunStatus::kOverBudget — a resumable
 //                graceful stop, not an OOM kill. Window size is
@@ -230,21 +230,22 @@ class Watchdog {
 // accel + virgin forest + window buffers — not a promise.
 struct AdmissionPlan {
   std::uint64_t estimated_bytes = 0;
-  AccelBuildParams accel_params{};     // leaf params (rung 2)
+  AccelBuildParams accel_params{};     // leaf params (rung 1)
   bool coarsened_accel = false;
 };
 
 // Applies the degradation ladder for config.memory_budget (0 = unlimited:
-// returns the config's own knobs untouched). Rung 2 rebuilds the scene's
+// returns the config's own knobs untouched). Rung 1 rebuilds the scene's
 // accel with coarser leaf parameters and re-measures the real footprint —
-// bitwise-neutral by the AccelStructure contract. Throws ResourceError when
-// even the coarsest plan exceeds the budget (refused admission).
+// bitwise-neutral by the AccelStructure contract. Rung 2 throws
+// ResourceError when even the coarsest plan exceeds the budget (refused
+// admission).
 AdmissionPlan govern_admission(Scene& scene, const RunConfig& config);
 
 // The planning-time footprint govern_admission scores, without the ladder:
 // const, never rebuilds anything. The photon service admits jobs against a
-// shared budget with this — rung 2 (rebuild the accel) is off the table for
-// a resident scene other jobs are reading.
+// shared budget with this and applies no rung — rung 1 (rebuild the accel)
+// is off the table for a resident scene other jobs are reading.
 std::uint64_t admission_estimate_bytes(const Scene& scene, const RunConfig& config);
 
 }  // namespace photon

@@ -1,6 +1,6 @@
 #include "geom/accel.hpp"
 
-#include "geom/bvh.hpp"
+#include "core/error.hpp"
 #include "geom/grid.hpp"
 #include "geom/octree.hpp"
 
@@ -8,8 +8,6 @@ namespace photon {
 
 std::unique_ptr<AccelStructure> make_accel(AccelKind kind) {
   switch (kind) {
-    case AccelKind::kBvh:
-      return std::make_unique<Bvh>();
     case AccelKind::kGrid:
       return std::make_unique<HashGrid>();
     case AccelKind::kOctree:
@@ -20,8 +18,6 @@ std::unique_ptr<AccelStructure> make_accel(AccelKind kind) {
 
 const char* accel_kind_name(AccelKind kind) {
   switch (kind) {
-    case AccelKind::kBvh:
-      return "bvh";
     case AccelKind::kGrid:
       return "grid";
     case AccelKind::kOctree:
@@ -30,24 +26,16 @@ const char* accel_kind_name(AccelKind kind) {
   return "octree";
 }
 
-bool accel_kind_from_string(const std::string& name, AccelKind& kind) {
-  if (name == "octree") {
-    kind = AccelKind::kOctree;
-    return true;
+AccelKind parse_accel_kind(const std::string& name) {
+  std::string supported;
+  for (const AccelKind kind : accel_kinds()) {
+    if (name == accel_kind_name(kind)) return kind;
+    if (!supported.empty()) supported += " | ";
+    supported += accel_kind_name(kind);
   }
-  if (name == "bvh") {
-    kind = AccelKind::kBvh;
-    return true;
-  }
-  if (name == "grid") {
-    kind = AccelKind::kGrid;
-    return true;
-  }
-  return false;
+  throw ConfigError("unknown accel '" + name + "' (supported: " + supported + ")");
 }
 
-std::vector<AccelKind> accel_kinds() {
-  return {AccelKind::kOctree, AccelKind::kBvh, AccelKind::kGrid};
-}
+std::vector<AccelKind> accel_kinds() { return {AccelKind::kOctree, AccelKind::kGrid}; }
 
 }  // namespace photon

@@ -1,7 +1,7 @@
 // The acceleration-structure seam.
 //
 // Every spatial index in Photon answers the same contract the octree
-// established (PR 2/4): build() ingests the patch array and packs each leaf's
+// established: build() ingests the patch array and packs each leaf's
 // hit-test constants into lane-padded SoA blocks (geom/leaf_kernel.hpp);
 // intersect()/intersect_counted() run a front-to-back traversal whose
 // accepted hit is bitwise-equal to the brute linear scan
@@ -9,20 +9,21 @@
 // against that reference on all bundled scenes. Queries answer entirely from
 // the packed snapshot taken at build() time, never from the Patch array.
 //
-// Three structures live behind the seam:
+// Two structures live behind the seam, both spatial partitions (a patch is
+// referenced by every leaf or cell it reaches):
 //
 //   octree  flat pointer-free octree, XOR-octant front-to-back traversal
-//           (geom/octree.hpp) — duplicated references, spatial partition
-//   bvh     binned-SAH BVH, flat nodes in DFS order, CSR leaf ranges over an
-//           object partition (geom/bvh.hpp) — each patch in exactly one leaf
+//           (geom/octree.hpp) — the paper's structure and the default
 //   grid    nested uniform grid, dense sub-grids in hot cells, DDA traversal
 //           with first-confirmed-nearest early-out (geom/grid.hpp)
 //
-// All three reuse the one SIMD leaf kernel and contract a deterministic
-// parallel build: the packed arrays are bitwise-identical for any
-// BuildParams::workers value. Scene holds an AccelStructure by pointer, so
-// dependents of geom/scene.hpp compile against this header alone —
-// structure-specific headers are implementation detail.
+// Both reuse the one SIMD leaf kernel and contract a deterministic parallel
+// build: the packed arrays are bitwise-identical for any
+// AccelBuildParams::workers value. The scene owns the choice of structure
+// (Scene::set_accel); every index a run builds, dist-spatial's per-region
+// ones included, reads it from there. Scene holds an AccelStructure by
+// pointer, so dependents of geom/scene.hpp compile against this header
+// alone — structure-specific headers are implementation detail.
 #pragma once
 
 #include <cstdint>
@@ -56,25 +57,24 @@ struct TraversalStats {
   std::uint64_t patch_tests = 0;
 };
 
-enum class AccelKind { kOctree, kBvh, kGrid };
+enum class AccelKind { kOctree, kGrid };
 
 // One knob bundle for every structure; each implementation reads the fields
 // it understands and ignores the rest (the same deal RunConfig makes with
 // the backends).
 struct AccelBuildParams {
-  // All structures: parallel-build width; <= 0 means one task slot per
+  // Both structures: parallel-build width; <= 0 means one task slot per
   // hardware thread. The built arrays are bitwise-identical for any value.
   int workers = 0;
 
-  // octree: subdivision limits (defaults tuned by bench sweeps, see
-  // geom/octree.hpp).
+  // octree: subdivision limits (depth is clamped to Octree::kMaxDepth).
+  // Tuned against the bundled scenes (bench_accel races them): with the SoA
+  // lane-parallel leaf tests, patch tests are cheap and node visits (random
+  // box reads + stack traffic) are the expensive unit, so moderately fat
+  // leaves beat the classic small-leaf shape by ~2x. Leaf capacities 8-32
+  // form one plateau within measurement noise (BENCH_accel.json).
   int max_depth = 12;
   int max_leaf_items = 12;
-
-  // bvh: leaf capacity and SAH bin count. Object partitions keep leaves
-  // single-copy, so smaller leaves pay off earlier than the octree's.
-  int bvh_leaf_items = 4;
-  int sah_bins = 16;
 
   // grid: coarse resolution scale (cells per axis ~ density * cbrt(n),
   // shaped by the box aspect), refinement threshold (a coarse cell holding
@@ -96,12 +96,12 @@ class AccelStructure {
   virtual bool built() const = 0;
   virtual const Aabb& bounds() const = 0;
 
-  // Structure size in its native unit: octree/bvh nodes, grid cells
-  // (coarse + sub). depth() is tree depth, or 1 + refined levels for the grid.
+  // Structure size in its native unit: octree nodes, grid cells (coarse +
+  // sub). depth() is tree depth, or 1 + refined levels for the grid.
   virtual std::size_t node_count() const = 0;
   virtual int depth() const = 0;
-  // Total patch references across all leaves (object-partitioned structures
-  // reference each patch once; spatial partitions may duplicate).
+  // Total patch references across all leaves (a patch crossing a leaf or
+  // cell boundary is referenced once per leaf or cell it reaches).
   virtual std::size_t item_ref_count() const = 0;
   // Total SoA lanes including per-leaf padding to the kernel lane width.
   virtual std::size_t lane_count() const = 0;
@@ -130,8 +130,10 @@ class AccelStructure {
 // Factory over the registered structure kinds (the CLI's --accel values).
 std::unique_ptr<AccelStructure> make_accel(AccelKind kind);
 const char* accel_kind_name(AccelKind kind);
-bool accel_kind_from_string(const std::string& name, AccelKind& kind);
-// Every kind, in the canonical shootout order {octree, bvh, grid}.
+// The kind called `name` (the CLI's --accel, the service's accel=); throws
+// ConfigError naming every supported kind otherwise.
+AccelKind parse_accel_kind(const std::string& name);
+// Every kind, in the canonical shootout order {octree, grid}.
 std::vector<AccelKind> accel_kinds();
 
 }  // namespace photon

@@ -18,8 +18,7 @@
 // hit lies at or before the cell's exit parameter: a hit point before t_exit
 // lies inside a cell already visited, and that cell references every patch
 // overlapping it — so the untested remainder cannot beat the current best.
-// The accepted hit is bitwise-equal to the brute scan, like the other
-// structures.
+// The accepted hit is bitwise-equal to the brute scan, like the octree's.
 //
 // The build is deterministic for any worker count by construction: the
 // counting-sort passes run in a fixed order, and the parallel phases

@@ -4,7 +4,7 @@
 // inlines into the caller's hot loop.
 //
 // Include rules: ONLY from a TU listed in PHOTON_KERNEL_TUS in CMakeLists
-// (leaf_kernel.cpp and the three traversal TUs). Those TUs are compiled with
+// (leaf_kernel.cpp and the two traversal TUs). Those TUs are compiled with
 // -ffp-contract=off (fusing a*b+c would change rounding and break the bitwise
 // equivalence with the scalar Patch::intersect reference), with -mavx2 when
 // the configure machine runs AVX2, and with PHOTON_SIMD_SCALAR under

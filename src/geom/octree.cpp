@@ -82,7 +82,7 @@ bool partition_octants(std::span<const Patch> patches, const Aabb& box,
 
 std::int32_t build_temp(std::span<const Patch> patches, std::vector<TempNode>& temp,
                         const Aabb& box, std::vector<std::int32_t> items, int depth,
-                        int max_depth, const Octree::BuildParams& params, int& deepest) {
+                        int max_depth, const AccelBuildParams& params, int& deepest) {
   const auto idx = static_cast<std::int32_t>(temp.size());
   temp.push_back(TempNode{});
   temp[static_cast<std::size_t>(idx)].box = box;
@@ -120,7 +120,7 @@ std::int32_t build_temp(std::span<const Patch> patches, std::vector<TempNode>& t
 // including the workers == 1 path that runs the same tasks inline.
 void build_temp_root(std::span<const Patch> patches, std::vector<TempNode>& temp,
                      const Aabb& box, std::vector<std::int32_t> items, int max_depth,
-                     const Octree::BuildParams& params, int& deepest, int workers) {
+                     const AccelBuildParams& params, int& deepest, int workers) {
   temp.push_back(TempNode{});
   temp[0].box = box;
   deepest = 0;
@@ -184,7 +184,7 @@ void build_temp_root(std::span<const Patch> patches, std::vector<TempNode>& temp
 
 }  // namespace
 
-void Octree::build(std::span<const Patch> patches, const BuildParams& params) {
+void Octree::build(std::span<const Patch> patches, const AccelBuildParams& params) {
   nodes_.clear();
   item_offsets_.clear();
   item_ids_.clear();

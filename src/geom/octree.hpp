@@ -4,9 +4,9 @@
 // through. When an intersection is detected, it is the closest intersection
 // and further testing is not needed."
 //
-// One of the three structures behind the AccelStructure seam (geom/accel.hpp;
-// the brute-force scan Scene::intersect_brute stays the equivalence-test
-// reference for all of them). The index is stored pointer-free for the hot
+// The default structure behind the AccelStructure seam (geom/accel.hpp; the
+// brute-force scan Scene::intersect_brute stays the equivalence-test
+// reference for every structure). The index is stored pointer-free for the hot
 // path: nodes live in one flat array with their non-empty children packed
 // consecutively (an octant bitmask plus a popcount locates a child), and leaf
 // item lists are a CSR pair (`item_offsets`/`item_ids`) instead of a heap
@@ -23,8 +23,9 @@
 // Patch array the index was built from.
 //
 // build() decomposes per top-level octant across threads
-// (BuildParams::workers); subtree arenas are stitched in octant order, so the
-// flattened node/CSR/SoA arrays are bitwise-identical for any worker count.
+// (AccelBuildParams::workers); subtree arenas are stitched in octant order,
+// so the flattened node/CSR/SoA arrays are bitwise-identical for any worker
+// count.
 #pragma once
 
 #include <cstdint>
@@ -40,20 +41,6 @@ namespace photon {
 
 class Octree final : public AccelStructure {
  public:
-  // Defaults tuned against the bundled scenes (bench_accel races them): with
-  // the SoA lane-parallel leaf tests, patch tests are cheap and node visits
-  // (random box reads + stack traffic) are the expensive unit, so moderately
-  // fat leaves beat the classic small-leaf shape by ~2x. Re-checked after the
-  // pool-backed parallel build: leaf capacities 8-32 form one plateau within
-  // measurement noise, so the defaults stand (BENCH_accel.json).
-  struct BuildParams {
-    int max_depth = 12;
-    int max_leaf_items = 12;
-    // Build threads for the per-octant task decomposition; <= 0 means one per
-    // hardware thread. The built arrays are bitwise-identical for any value.
-    int workers = 0;
-  };
-
   // Explicit traversal stack bound: at most 7 siblings deferred per level on
   // the path down, so 8 * (max depth + 1) is comfortably safe. Build depth is
   // clamped to kMaxDepth.
@@ -61,16 +48,9 @@ class Octree final : public AccelStructure {
 
   Octree() = default;
 
-  void build(std::span<const Patch> patches, const BuildParams& params);
-  void build(std::span<const Patch> patches) { build(patches, BuildParams{}); }
-  // The seam entry point: maps the shared knob bundle onto BuildParams.
-  void build(std::span<const Patch> patches, const AccelBuildParams& params) override {
-    BuildParams p;
-    p.max_depth = params.max_depth;
-    p.max_leaf_items = params.max_leaf_items;
-    p.workers = params.workers;
-    build(patches, p);
-  }
+  // Reads max_depth, max_leaf_items and workers (geom/accel.hpp).
+  void build(std::span<const Patch> patches, const AccelBuildParams& params) override;
+  using AccelStructure::build;  // the default-params helper
 
   AccelKind kind() const override { return AccelKind::kOctree; }
   bool built() const override { return !nodes_.empty(); }

@@ -4,10 +4,12 @@
 // Geometry is immutable once build() is called (the paper replicates exactly
 // this structure on every rank; only the bin forest is distributed). The
 // spatial index is held behind the AccelStructure seam — octree by default,
-// switchable to the BVH or nested grid with set_accel() — so this header does
-// not depend on any structure-specific header, and every structure answers
+// switchable to the nested grid with set_accel() — so this header does not
+// depend on any structure-specific header, and every structure answers
 // queries bitwise-identically (the equivalence suite pins them against
-// intersect_brute).
+// intersect_brute). The scene is the one owner of the structure choice:
+// whatever else a run builds (dist-spatial's per-region indexes) uses
+// accel_kind().
 #pragma once
 
 #include <cstdint>
@@ -71,8 +73,9 @@ class Scene {
 
   std::size_t patch_count() const { return patches_.size(); }
 
-  // Selects the acceleration structure for subsequent build() calls.
-  // Switching kinds discards any built index; call build() again.
+  // Selects the acceleration structure for subsequent build() calls and for
+  // every index a run builds from this scene. Switching kinds discards any
+  // built index; call build() again.
   void set_accel(AccelKind kind);
   AccelKind accel_kind() const { return accel_kind_; }
 

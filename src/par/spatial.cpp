@@ -246,9 +246,9 @@ RunResult run_spatial(const Scene& scene, const RunConfig& config, const RunResu
         local_to_global.push_back(static_cast<std::int32_t>(i));
       }
     }
-    // The local index honors the run's structure choice (config.accel); every
-    // structure is bitwise-equivalent to the brute scan.
-    const std::unique_ptr<AccelStructure> local_tree = make_accel(config.accel);
+    // The local index is the scene's structure; every structure is
+    // bitwise-equivalent to the brute scan.
+    const std::unique_ptr<AccelStructure> local_tree = make_accel(scene.accel_kind());
     local_tree->build(local_patches);
     progress_tick(config, "accel-build", local_patches.size());
 
@@ -270,7 +270,7 @@ RunResult run_spatial(const Scene& scene, const RunConfig& config, const RunResu
 
     RankReport report;
     report.local_patches = local_patches.size();
-    report.octree_nodes = local_tree->node_count();
+    report.local_nodes = local_tree->node_count();
 
     TraceCounters counters;
     ChannelCounts emitted{};

@@ -9,8 +9,8 @@
 //
 // Space is partitioned into one axis-aligned region per rank (recursive
 // bisection balancing patch counts). Each rank indexes only the patches
-// within a surface nudge of its region, with the run's acceleration
-// structure. `config.workers` sets the rank count.
+// within a surface nudge of its region, with the scene's acceleration
+// structure (Scene::accel_kind). `config.workers` sets the rank count.
 //
 // It answers bitwise-equal to the serial run at every rank count (DESIGN.md,
 // "Spatial decomposition"):

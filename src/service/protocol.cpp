@@ -111,9 +111,7 @@ JobSpec job_spec_from_request(const Request& request) {
     } else if (key == "chunk") {
       spec.config.chunk = parse_u64(key, value);
     } else if (key == "accel") {
-      if (!accel_kind_from_string(value, spec.config.accel)) {
-        throw ConfigError("unknown accel '" + value + "' (supported: octree | bvh | grid)");
-      }
+      spec.accel = parse_accel_kind(value);
     } else if (key == "checkpoint") {
       spec.checkpoint_path = value;
     } else if (key == "trace") {

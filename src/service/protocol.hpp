@@ -5,7 +5,7 @@
 // Requests (one per line; values must not contain spaces):
 //
 //   submit scene=<name> [backend=<b>] [photons=<n>] [seed=<n>] [workers=<n>]
-//          [groups=<n>] [batch=<n>] [chunk=<n>] [accel=octree|bvh|grid]
+//          [groups=<n>] [batch=<n>] [chunk=<n>] [accel=octree|grid]
 //          [checkpoint=<path>] [trace=<path>]
 //   status [job=<id>]
 //   wait job=<id>

@@ -78,11 +78,11 @@ struct PhotonService::Impl {
   // Caller holds `m`. Loads through the cache; throws SceneError on a loader
   // failure so the executor fails just this job.
   std::shared_ptr<const Scene> resident_scene(const JobSpec& spec) {
-    const std::string key = scene_key(spec.scene, spec.config.accel);
+    const std::string key = scene_key(spec.scene, spec.accel);
     auto it = scenes.find(key);
     if (it != scenes.end()) return it->second;
     ++loads;
-    std::shared_ptr<const Scene> scene = loader(spec.scene, spec.config.accel);
+    std::shared_ptr<const Scene> scene = loader(spec.scene, spec.accel);
     if (!scene) throw SceneError("cannot load scene '" + spec.scene + "'");
     scenes.emplace(key, scene);
     return scene;
@@ -162,8 +162,8 @@ struct PhotonService::Impl {
       std::uint64_t estimate = 0;
       try {
         scene = resident_scene(job.spec);
-        // No degradation: rung 2 would rebuild the shared accel, which is off
-        // the table for a resident scene.
+        // No rung applies: rung 1 would rebuild the shared accel, which is off
+        // the table for a resident scene, so an over-budget job is refused.
         estimate = admission_estimate_bytes(*scene, job.spec.config);
       } catch (const EngineError& e) {
         finish(job, JobState::kFailed, e.what());

@@ -28,9 +28,9 @@
 //   Admission    Each job is admitted against the service-wide memory budget
 //                before it starts: jobs whose estimate alone exceeds the
 //                budget are refused; admissible jobs WAIT until enough
-//                reserved bytes free up. The accel-coarsening rung of
-//                govern_admission is deliberately not applied — it would
-//                rebuild a resident scene other jobs are reading.
+//                reserved bytes free up. No rung of govern_admission's
+//                ladder applies: its accel-coarsening rung would rebuild a
+//                resident scene other jobs are reading.
 //
 // Determinism contract: a job's result is bitwise identical to the same
 // RunConfig executed solo via the CLI — scheduling (ticket order, steals,
@@ -49,11 +49,13 @@
 
 namespace photon {
 
-// One submitted run. `config` carries the usual knobs (photons, seed,
-// workers, batch, trace_path, ...); the service forces `governed` on and
-// attaches its own RunControl.
+// One submitted run. `scene` and `accel` key the resident scene the loader
+// builds; `config` carries the usual knobs (photons, seed, workers, batch,
+// trace_path, ...); the service forces `governed` on and attaches its own
+// RunControl.
 struct JobSpec {
-  std::string scene;             // resident-scene key, resolved by the loader
+  std::string scene;             // resident-scene name, resolved by the loader
+  AccelKind accel = AccelKind::kOctree;
   std::string backend = "serial";
   RunConfig config;
   std::string checkpoint_path;   // non-empty: save the final result here (atomic)

@@ -1,8 +1,8 @@
 // Cross-structure equivalence suite for the AccelStructure seam
-// (geom/accel.hpp): every registered structure — octree, binned-SAH BVH,
-// nested uniform grid — must answer closest-hit queries bitwise-identically
-// to the brute linear scan on every bundled scene, and its parallel build
-// must produce bitwise-identical packed arrays at any worker count. The
+// (geom/accel.hpp): every registered structure — octree and nested uniform
+// grid — must answer closest-hit queries bitwise-identically to the brute
+// linear scan on every bundled scene, and its parallel build must produce
+// bitwise-identical packed arrays at any worker count. The
 // octree additionally keeps its own long-standing suite (test_octree.cpp);
 // this file pins the seam contract uniformly across kinds.
 #include "geom/accel.hpp"
@@ -13,8 +13,8 @@
 #include <tuple>
 #include <vector>
 
+#include "core/error.hpp"
 #include "core/rng.hpp"
-#include "geom/bvh.hpp"
 #include "geom/grid.hpp"
 #include "geom/leaf_kernel.hpp"
 #include "geom/scenes.hpp"
@@ -157,7 +157,7 @@ TEST_P(AccelEquivalenceTest, CountedTraversalAgreesAndPrunes) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, AccelEquivalenceTest,
-    ::testing::Combine(::testing::Values(AccelKind::kOctree, AccelKind::kBvh, AccelKind::kGrid),
+    ::testing::Combine(::testing::ValuesIn(accel_kinds()),
                        ::testing::Values("cornell", "harpsichord", "lab", "room")),
     accel_param_name);
 
@@ -276,45 +276,35 @@ TEST_P(AccelKindTest, LanePaddingInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, AccelKindTest,
-                         ::testing::Values(AccelKind::kOctree, AccelKind::kBvh, AccelKind::kGrid),
+                         ::testing::ValuesIn(accel_kinds()),
                          kind_param_name);
 
 TEST(AccelFactory, KindNamesRoundTrip) {
   for (const AccelKind kind : accel_kinds()) {
-    AccelKind parsed = AccelKind::kOctree;
-    ASSERT_TRUE(accel_kind_from_string(accel_kind_name(kind), parsed));
-    EXPECT_EQ(parsed, kind);
+    EXPECT_EQ(parse_accel_kind(accel_kind_name(kind)), kind);
     EXPECT_EQ(make_accel(kind)->kind(), kind);
   }
-  AccelKind parsed = AccelKind::kOctree;
-  EXPECT_FALSE(accel_kind_from_string("kdtree", parsed));
-  EXPECT_FALSE(accel_kind_from_string("", parsed));
+}
+
+// An unknown name is a typed config error listing every supported kind, so
+// the CLI's --accel and the service's accel= share one message.
+TEST(AccelFactory, UnknownNamesListTheSupportedKinds) {
+  for (const char* name : {"kdtree", "", "OCTREE"}) {
+    try {
+      (void)parse_accel_kind(name);
+      FAIL() << "accepted '" << name << "'";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("(supported: octree | grid)"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(AccelFactory, CanonicalOrder) {
   const auto kinds = accel_kinds();
-  ASSERT_EQ(kinds.size(), 3u);
+  ASSERT_EQ(kinds.size(), 2u);
   EXPECT_EQ(kinds[0], AccelKind::kOctree);
-  EXPECT_EQ(kinds[1], AccelKind::kBvh);
-  EXPECT_EQ(kinds[2], AccelKind::kGrid);
-}
-
-TEST(Bvh, ObjectPartitionReferencesEachPatchOnce) {
-  const Scene scene = scenes::computer_lab();
-  Bvh bvh;
-  bvh.build(scene.patches());
-  EXPECT_EQ(bvh.item_ref_count(), scene.patch_count());
-}
-
-TEST(Bvh, LeafCapacityShrinksWithParam) {
-  const auto patches = random_patch_soup(500, 7);
-  Bvh coarse, fine;
-  AccelBuildParams params;
-  params.bvh_leaf_items = 16;
-  coarse.build(patches, params);
-  params.bvh_leaf_items = 2;
-  fine.build(patches, params);
-  EXPECT_GT(fine.node_count(), coarse.node_count());
+  EXPECT_EQ(kinds[1], AccelKind::kGrid);
 }
 
 TEST(HashGrid, RefinesHotCellsWhenCoarseCellsOverflow) {
@@ -368,7 +358,7 @@ TEST(Scene, SwitchingAccelKindRebuildsAndAnswersIdentically) {
   const auto reference = scene.intersect(ray);
   ASSERT_TRUE(reference.has_value());
 
-  for (const AccelKind kind : {AccelKind::kBvh, AccelKind::kGrid, AccelKind::kOctree}) {
+  for (const AccelKind kind : {AccelKind::kGrid, AccelKind::kOctree}) {
     scene.set_accel(kind);
     EXPECT_FALSE(scene.built());  // switching discards the old index
     scene.build();

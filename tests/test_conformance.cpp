@@ -9,12 +9,11 @@
 //
 // The suite is additionally parameterized over the acceleration structure
 // behind the AccelStructure seam: every backend runs the matrix on
-// octree-built scenes, and serial, shared and dist-spatial repeat it with
-// the BVH and the nested grid (dist-spatial also rebuilds its per-region
-// local indexes with the chosen structure via RunConfig::accel). The bitwise
-// reference is ALWAYS computed on the octree scenes, so those cells pin the
-// structures' closest-hit equivalence through an entire simulation, not just
-// per-ray.
+// octree-built scenes, and serial, shared and dist-spatial repeat it on
+// grid-built ones (dist-spatial builds its per-region local indexes with the
+// scene's structure). The bitwise reference is ALWAYS computed on the octree
+// scenes, so those cells pin the structures' closest-hit equivalence through
+// an entire simulation, not just per-ray.
 //
 // CI runs this suite under the `conformance` ctest label on both the SIMD
 // and the scalar-fallback build.
@@ -83,15 +82,13 @@ const Scene& scene_for(const NamedScene& cell, AccelKind kind) {
   return cache.emplace(key, std::move(scene)).first->second;
 }
 
-RunConfig config_for(const Shape& shape, std::uint64_t photons,
-                     AccelKind accel = AccelKind::kOctree) {
+RunConfig config_for(const Shape& shape, std::uint64_t photons) {
   RunConfig cfg;
   cfg.photons = photons;
   cfg.batch = 500;
   cfg.adapt_batch = false;
   cfg.groups = shape.groups;
   cfg.workers = shape.workers;
-  cfg.accel = accel;
   return cfg;
 }
 
@@ -112,7 +109,7 @@ const RunResult& reference_run(const NamedScene& cell) {
 }
 
 // (backend, acceleration structure) cell. Every backend runs with the
-// octree; a subset repeats the matrix behind the BVH and the grid.
+// octree; a subset repeats the matrix behind the grid.
 using ConformanceParam = std::pair<std::string, AccelKind>;
 
 class ConformanceTest : public ::testing::TestWithParam<ConformanceParam> {};
@@ -122,7 +119,7 @@ TEST_P(ConformanceTest, RepeatRunsAreBitwiseIdentical) {
   const NamedScene& cell = bundled_scenes()[0];  // cornell
   const Scene& scene = scene_for(cell, accel);
   for (const Shape& shape : shapes_for(backend)) {
-    const RunConfig cfg = config_for(shape, cell.photons, accel);
+    const RunConfig cfg = config_for(shape, cell.photons);
     const RunResult a = run_named(backend, scene, cfg);
     const RunResult b = run_named(backend, scene, cfg);
     EXPECT_TRUE(a.forest == b.forest)
@@ -136,7 +133,7 @@ TEST_P(ConformanceTest, ConservesEmissionsAndRecords) {
   const NamedScene& cell = bundled_scenes()[0];
   const Scene& scene = scene_for(cell, accel);
   for (const Shape& shape : shapes_for(backend)) {
-    const RunConfig cfg = config_for(shape, cell.photons, accel);
+    const RunConfig cfg = config_for(shape, cell.photons);
     const RunResult r = run_named(backend, scene, cfg);
     // Every photon in the budget is emitted exactly once...
     EXPECT_GE(r.counters.emitted, cfg.photons)
@@ -158,7 +155,7 @@ TEST_P(ConformanceTest, BitwiseEqualToTheSerialReference) {
     const RunResult& reference = reference_run(cell);
     const Scene& scene = scene_for(cell, accel);
     for (const Shape& shape : shapes_for(backend)) {
-      const RunConfig cfg = config_for(shape, cell.photons, accel);
+      const RunConfig cfg = config_for(shape, cell.photons);
       const RunResult r = run_named(backend, scene, cfg);
       EXPECT_TRUE(r.forest == reference.forest)
           << backend << " @ " << shape.groups << "x" << shape.workers << " on " << cell.name;
@@ -174,9 +171,9 @@ TEST_P(ConformanceTest, ResumeContinuesAcrossALegBoundary) {
   const Scene& scene = scene_for(cell, accel);
   const Shape shape = shapes_for(backend).back();  // the widest shape
 
-  RunConfig leg1 = config_for(shape, 2000, accel);
-  RunConfig leg2 = config_for(shape, 1000, accel);
-  RunConfig straight = config_for(shape, 3000, accel);
+  RunConfig leg1 = config_for(shape, 2000);
+  RunConfig leg2 = config_for(shape, 1000);
+  RunConfig straight = config_for(shape, 3000);
   const RunResult first = run_named(backend, scene, leg1);
   const RunResult resumed = run_named(backend, scene, leg2, &first);
   EXPECT_EQ(resumed.forest.emitted_total(), straight.photons);
@@ -189,15 +186,14 @@ TEST_P(ConformanceTest, ResumeContinuesAcrossALegBoundary) {
 
 // Every backend × octree, plus a cross-structure band: serial (the
 // reference loop), shared (the pool-scheduled particle engine) and
-// dist-spatial (per-region local indexes rebuilt from RunConfig::accel) ×
-// {bvh, grid}.
+// dist-spatial (per-region local indexes built with the scene's structure)
+// × grid.
 std::vector<ConformanceParam> conformance_cells() {
   std::vector<ConformanceParam> cells;
   for (const std::string& backend : backend_names()) {
     cells.emplace_back(backend, AccelKind::kOctree);
   }
   for (const char* backend : {"serial", "shared", "dist-spatial"}) {
-    cells.emplace_back(backend, AccelKind::kBvh);
     cells.emplace_back(backend, AccelKind::kGrid);
   }
   return cells;

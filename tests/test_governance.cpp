@@ -558,7 +558,7 @@ TEST(Admission, GenerousBudgetAdmitsUndegraded) {
 }
 
 TEST(Admission, TightBudgetWalksTheLadderInOrder) {
-  // Find the undegraded estimate, then set the budget just below it: rung 2
+  // Find the undegraded estimate, then set the budget just below it: rung 1
   // (coarser accel leaves) must engage first, and the returned estimate must
   // honor the budget.
   Scene scene = scenes::cornell_box();
@@ -739,10 +739,11 @@ TEST(FaultPlanParse, RejectsMalformedSpecsWithADiagnostic) {
 #ifdef PHOTON_CLI_PATH
 
 // Runs photon_cli with `args`, optionally delivering `sig` after
-// `kill_after_ms`. Returns the exit status (or -1 on harness failure;
-// -signal when the child died on an unhandled signal).
+// `kill_after_ms`; its stderr goes to `stderr_path`. Returns the exit status
+// (or -1 on harness failure; -signal when the child died on an unhandled
+// signal).
 int run_cli(const std::vector<std::string>& args, int kill_after_ms = -1,
-            int sig = SIGTERM) {
+            int sig = SIGTERM, const std::string& stderr_path = "/dev/null") {
   const pid_t pid = fork();
   if (pid < 0) return -1;
   if (pid == 0) {
@@ -752,7 +753,7 @@ int run_cli(const std::vector<std::string>& args, int kill_after_ms = -1,
     for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
     argv.push_back(nullptr);
     if (!std::freopen("/dev/null", "w", stdout)) _exit(127);
-    if (!std::freopen("/dev/null", "w", stderr)) _exit(127);
+    if (!std::freopen(stderr_path.c_str(), "w", stderr)) _exit(127);
     execv(exe.c_str(), argv.data());
     _exit(127);
   }
@@ -785,6 +786,16 @@ TEST(CliGovernance, ExitCodeTable) {
   EXPECT_EQ(run_cli({"simulate", "cornell", dir + "x.bin", "--photons=1",
                      "--photons=2"}), 7);
   EXPECT_EQ(run_cli({"simulate", "no-such-scene.txt", dir + "x.bin"}), 8);
+  // A structure outside the registry is a config error naming the supported
+  // ones.
+  const std::string err = dir + "photon_accel.err";
+  EXPECT_EQ(run_cli({"simulate", "cornell", dir + "x.bin", "--accel=bvh"}, -1, SIGTERM, err), 7);
+  std::ifstream err_in(err);
+  const std::string err_text((std::istreambuf_iterator<char>(err_in)),
+                             std::istreambuf_iterator<char>());
+  EXPECT_NE(err_text.find("unknown accel 'bvh' (supported: octree | grid)"), std::string::npos)
+      << err_text;
+  std::remove(err.c_str());
   // A present-but-damaged checkpoint must refuse, not silently restart.
   const std::string bad = dir + "photon_bad.ckpt";
   { std::ofstream(bad) << "not a checkpoint"; }

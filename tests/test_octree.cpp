@@ -87,7 +87,7 @@ TEST(Octree, SubdividesLargeInputs) {
 TEST(Octree, RespectsMaxDepth) {
   const auto patches = random_patch_soup(500, 321);
   Octree tree;
-  Octree::BuildParams params;
+  AccelBuildParams params;
   params.max_depth = 2;
   tree.build(patches, params);
   EXPECT_LE(tree.depth(), 2);
@@ -262,7 +262,7 @@ TEST(Octree, RebuildReplacesAllFlattenedState) {
   const auto patches = random_patch_soup(300, 4711);
   Octree tree;
   tree.build(patches);  // first build, default params
-  Octree::BuildParams params;
+  AccelBuildParams params;
   params.max_leaf_items = 2;
   params.max_depth = 8;
   tree.build(patches, params);  // rebuild in place with a different shape
@@ -337,7 +337,7 @@ TEST(Octree, ParallelBuildIsBitwiseIdenticalToSerial) {
   for (const auto& patches : {std::vector<Patch>(lab.patches().begin(), lab.patches().end()),
                               soup}) {
     Octree serial;
-    Octree::BuildParams params;
+    AccelBuildParams params;
     params.workers = 1;
     serial.build(patches, params);
     for (const int workers : {2, 4, 8, 16}) {
@@ -356,7 +356,7 @@ TEST(Octree, ParallelBuildAnswersIdenticalQueries) {
   // Belt and braces over the structural pin: traversal through a
   // parallel-built tree returns the same hits as through the serial build.
   const auto patches = random_patch_soup(400, 1234);
-  Octree::BuildParams params;
+  AccelBuildParams params;
   params.workers = 1;
   Octree serial;
   serial.build(patches, params);

@@ -150,7 +150,7 @@ TEST(WorkerPool, OctreeBuildFromInsideAPoolTaskMatchesDirectBuild) {
   // The real nested-submit consumer: a parallel Octree::build issued from a
   // pool task (the future photon-service shape). The topology pin must hold.
   const Scene s = scenes::cornell_box();
-  Octree::BuildParams params;
+  AccelBuildParams params;
   params.workers = 4;
   Octree direct;
   direct.build(s.patches(), params);

@@ -123,10 +123,10 @@ TEST(Service, SceneIsLoadedOnceAndSharedAcrossJobs) {
 TEST(Service, DistinctAccelKindsAreDistinctResidents) {
   PhotonService service(ServiceConfig{}, test_loader());
   JobSpec octree = small_job("serial", 1000);
-  JobSpec bvh = small_job("serial", 1000);
-  bvh.config.accel = AccelKind::kBvh;
+  JobSpec grid = small_job("serial", 1000);
+  grid.accel = AccelKind::kGrid;
   service.wait(service.submit(octree));
-  service.wait(service.submit(bvh));
+  service.wait(service.submit(grid));
   service.wait(service.submit(octree));  // cache hit
   EXPECT_EQ(service.scene_loads(), 2u);
 }
@@ -355,10 +355,10 @@ TEST(Service, UnknownIdsThrowTyped) {
 TEST(Protocol, ParsesTheDocumentedForms) {
   const Request submit = parse_request(
       "submit scene=cornell backend=shared photons=5000 seed=9 workers=2 groups=2 "
-      "batch=500 chunk=64 accel=bvh checkpoint=/tmp/j.ck trace=/tmp/j.jsonl");
+      "batch=500 chunk=64 accel=grid checkpoint=/tmp/j.ck trace=/tmp/j.jsonl");
   ASSERT_EQ(submit.kind, Request::Kind::kSubmit);
   EXPECT_EQ(submit.kv.at("scene"), "cornell");
-  EXPECT_EQ(submit.kv.at("accel"), "bvh");
+  EXPECT_EQ(submit.kv.at("accel"), "grid");
 
   const JobSpec spec = job_spec_from_request(submit);
   EXPECT_EQ(spec.scene, "cornell");
@@ -366,7 +366,7 @@ TEST(Protocol, ParsesTheDocumentedForms) {
   EXPECT_EQ(spec.config.photons, 5000u);
   EXPECT_EQ(spec.config.seed, 9u);
   EXPECT_EQ(spec.config.workers, 2);
-  EXPECT_EQ(spec.config.accel, AccelKind::kBvh);
+  EXPECT_EQ(spec.accel, AccelKind::kGrid);
   EXPECT_EQ(spec.checkpoint_path, "/tmp/j.ck");
   EXPECT_EQ(spec.config.trace_path, "/tmp/j.jsonl");
 
@@ -469,6 +469,14 @@ TEST(Daemon, ServesSubmitWaitStatusCancelOverTheSocket) {
 
   ASSERT_TRUE(client->request("bogus verb", reply));
   EXPECT_EQ(reply.rfind("{\"error\"", 0), 0u) << reply;
+
+  // A structure outside the registry is refused before any job exists, and
+  // the refusal names the supported ones.
+  ASSERT_TRUE(client->request("submit scene=cornell accel=bvh", reply));
+  EXPECT_EQ(reply.rfind("{\"error\"", 0), 0u) << reply;
+  EXPECT_NE(reply.find("unknown accel 'bvh' (supported: octree | grid)"), std::string::npos)
+      << reply;
+  EXPECT_EQ(service.jobs().size(), 1u);
 
   // A second client coexists with the first connection.
   ServiceClient second(socket_path);

@@ -140,6 +140,24 @@ TEST(SpatialSim, GeometryIsActuallyDistributed) {
   EXPECT_LT(max_local, s.patch_count() * 3 / 4);
 }
 
+// The region indexes follow the scene's structure: at one rank the region
+// holds every patch, so its index is the scene's own, node for node (octree
+// nodes or grid cells).
+TEST(SpatialSim, RegionIndexesFollowTheScenesStructure) {
+  for (const AccelKind kind : accel_kinds()) {
+    Scene s = scenes::cornell_box();
+    s.set_accel(kind);
+    s.build();
+    RunConfig cfg;
+    cfg.photons = 500;
+    cfg.workers = 1;
+    const RunResult r = run_spatial(s, cfg);
+    ASSERT_EQ(r.ranks.size(), 1u);
+    EXPECT_EQ(r.ranks[0].local_patches, s.patch_count()) << accel_kind_name(kind);
+    EXPECT_EQ(r.ranks[0].local_nodes, s.accel().node_count()) << accel_kind_name(kind);
+  }
+}
+
 TEST(SpatialSim, PhotonsAreRoutedBetweenRegions) {
   const Scene s = scenes::cornell_box();
   RunConfig cfg;
