@@ -279,13 +279,15 @@ struct Watchdog::Impl {
       // tick resets the age and returns to HEALTHY); then WEDGED, one-way.
       if (effective_age() < deadline_s + grace_s) continue;
 
-      fired.store(true, std::memory_order_release);
       snap = watched().snapshot();
       if (emergency) {
         // Flush the emergency checkpoint BEFORE poisoning: the callback
         // saves the last completed leg, which no wedged rank can touch.
         emergency(snap);
       }
+      // fired() promises the snapshot and the emergency save, so it turns
+      // true only after both, and before the poison unwinds the run.
+      fired.store(true, std::memory_order_release);
       lock.unlock();
       poison_all_worlds();
 

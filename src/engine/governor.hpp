@@ -214,6 +214,8 @@ class Watchdog {
   void set_emergency(std::function<void(const ProgressSnapshot&)> fn);
   void set_exit_on_wedge(bool enabled);
 
+  // True once the run is declared wedged, the snapshot captured and the
+  // emergency callback returned.
   bool fired() const;
   // The snapshot captured at firing (empty when !fired()).
   ProgressSnapshot wedged_snapshot() const;

@@ -1,10 +1,19 @@
 #include "geom/accel.hpp"
 
+#include <algorithm>
+#include <thread>
+
 #include "core/error.hpp"
 #include "geom/grid.hpp"
 #include "geom/octree.hpp"
 
 namespace photon {
+
+int build_width(const AccelBuildParams& params, std::size_t items) {
+  if (params.workers > 0) return params.workers;
+  if (items < kParallelBuildMinItems) return 1;
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
 
 std::unique_ptr<AccelStructure> make_accel(AccelKind kind) {
   switch (kind) {

@@ -19,13 +19,19 @@
 //
 // Both reuse the one SIMD leaf kernel and contract a deterministic parallel
 // build: the packed arrays are bitwise-identical for any
-// AccelBuildParams::workers value. The scene owns the choice of structure
+// AccelBuildParams::workers value. Each build cuts its work into a task list
+// fixed by the input alone (octree subtrees, grid hot cells, blocks of
+// leaves), runs it on the shared WorkerPool, and every task writes only its
+// own arena or its own ranges of the packed arrays, so the schedule cannot
+// reach the result. Both end in one leaf pack (pack_leaves,
+// geom/leaf_kernel.hpp). The scene owns the choice of structure
 // (Scene::set_accel); every index a run builds, dist-spatial's per-region
 // ones included, reads it from there. Scene holds an AccelStructure by
 // pointer, so dependents of geom/scene.hpp compile against this header
 // alone — structure-specific headers are implementation detail.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -35,6 +41,7 @@
 
 #include "core/aabb.hpp"
 #include "core/ray.hpp"
+#include "engine/pool.hpp"
 #include "geom/patch.hpp"
 
 namespace photon {
@@ -58,6 +65,8 @@ struct TraversalStats {
 };
 
 enum class AccelKind { kOctree, kGrid };
+
+struct LeafSoA;  // geom/leaf_kernel.hpp
 
 // One knob bundle for every structure; each implementation reads the fields
 // it understands and ignores the rest (the same deal RunConfig makes with
@@ -108,6 +117,15 @@ class AccelStructure {
   // Resident bytes of the packed arrays — the bench shootout's memory column.
   virtual std::size_t memory_bytes() const = 0;
 
+  // The packed leaves, for the build tests and analysis tools. Node (or
+  // cell) i's items are item_ids()[item_offsets()[i], item_offsets()[i + 1])
+  // and its lanes are [lane_offsets()[i], lane_offsets()[i + 1]) of
+  // leaf_soa(): the items' constants in the same order, then sentinels.
+  virtual std::span<const std::uint32_t> item_offsets() const = 0;
+  virtual std::span<const std::int32_t> item_ids() const = 0;
+  virtual std::span<const std::uint32_t> lane_offsets() const = 0;
+  virtual const LeafSoA& leaf_soa() const = 0;
+
   // Closest hit before tmax written to `best`; returns false and leaves
   // `best` cleared (patch < 0, dist = tmax) on a miss. The allocation-free
   // fast path the tracer uses.
@@ -126,6 +144,26 @@ class AccelStructure {
   // arrays — the parallel-build determinism pin.
   virtual bool identical_to(const AccelStructure& other) const = 0;
 };
+
+// The width a build over `items` patches runs at: params.workers, or one slot
+// per hardware thread when that is <= 0. An auto-width build of fewer than
+// kParallelBuildMinItems patches runs serially: it finishes in less time than
+// waking the pool takes. An explicit width is always honoured.
+inline constexpr std::size_t kParallelBuildMinItems = 2048;
+int build_width(const AccelBuildParams& params, std::size_t items);
+
+// Runs task(i) for every i in [0, n) on the shared WorkerPool `width` wide,
+// or inline in ascending order when width <= 1 (a serial build pays nothing
+// for scheduling). Tasks must write disjoint state.
+template <typename Task>
+void run_build_tasks(std::size_t n, int width, const Task& task) {
+  if (width <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) task(i);
+    return;
+  }
+  WorkerPool::instance().run(n, width,
+                             [&](std::uint64_t i, int) { task(static_cast<std::size_t>(i)); });
+}
 
 // Factory over the registered structure kinds (the CLI's --accel values).
 std::unique_ptr<AccelStructure> make_accel(AccelKind kind);

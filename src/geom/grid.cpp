@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <thread>
 
-#include "engine/pool.hpp"
 #include "geom/leaf_kernel_inl.hpp"
 
 namespace photon {
@@ -164,20 +162,7 @@ void HashGrid::build(std::span<const Patch> patches, const AccelBuildParams& par
                     static_cast<std::size_t>(sub_res_);
   const std::size_t total_cells = nc + sub_blocks_ * sub3;
 
-  int workers = params.workers;
-  if (workers <= 0) workers = static_cast<int>(std::thread::hardware_concurrency());
-  if (workers < 1) workers = 1;
-  constexpr std::size_t kParallelBuildMinItems = 2048;
-  if (params.workers <= 0 && n < kParallelBuildMinItems) workers = 1;
-  const int T = std::min<int>(workers, static_cast<int>(sub_blocks_));
-  const auto run_blocks = [&](auto&& fn) {
-    if (T <= 1) {
-      for (std::size_t b = 0; b < sub_blocks_; ++b) fn(b);
-    } else {
-      WorkerPool::instance().run(sub_blocks_, T,
-                                 [&](std::uint64_t b, int) { fn(static_cast<std::size_t>(b)); });
-    }
-  };
+  const int width = build_width(params, n);
 
   // Per-cell counts over the unified id space: leaf coarse cells keep their
   // counting-sort totals, hot cells zero (their sub-cells take over). The
@@ -210,7 +195,7 @@ void HashGrid::build(std::span<const Patch> patches, const AccelBuildParams& par
                static_cast<std::size_t>(sub_res_) +
            static_cast<std::size_t>(jx);
   };
-  run_blocks([&](std::size_t b) {
+  run_build_tasks(sub_blocks_, width, [&](std::size_t b) {
     const std::size_t c = hot_cells[b];
     const Vec3 cell_lo = cell_lo_of(c);
     const std::size_t base = nc + b * sub3;
@@ -229,14 +214,10 @@ void HashGrid::build(std::span<const Patch> patches, const AccelBuildParams& par
   for (std::size_t c = 0; c < total_cells; ++c) {
     item_offsets_[c + 1] = item_offsets_[c] + cell_count[c];
   }
+  // Sub-cells scatter their ids in place, one hot cell per task; the leaf
+  // pack copies the leaf coarse cells' ids from coarse_refs.
   item_ids_.resize(item_offsets_[total_cells]);
-  for (std::size_t c = 0; c < nc; ++c) {
-    if (coarse_sub_[c] < 0) {
-      std::copy(coarse_refs.begin() + coarse_off[c], coarse_refs.begin() + coarse_off[c + 1],
-                item_ids_.begin() + item_offsets_[c]);
-    }
-  }
-  run_blocks([&](std::size_t b) {
+  run_build_tasks(sub_blocks_, width, [&](std::size_t b) {
     const std::size_t c = hot_cells[b];
     const Vec3 cell_lo = cell_lo_of(c);
     const std::size_t base = nc + b * sub3;
@@ -255,21 +236,10 @@ void HashGrid::build(std::span<const Patch> patches, const AccelBuildParams& par
     }
   });
 
-  lane_offsets_.reserve(total_cells + 1);
-  std::uint32_t lanes = 0;
-  for (std::size_t c = 0; c < total_cells; ++c) {
-    lane_offsets_.push_back(lanes);
-    lanes += padded_lanes(item_offsets_[c + 1] - item_offsets_[c]);
-  }
-  lane_offsets_.push_back(lanes);
-  soa_.resize(lanes);
-  for (std::size_t c = 0; c < total_cells; ++c) {
-    std::uint32_t lane = lane_offsets_[c];
-    for (std::uint32_t i = item_offsets_[c]; i < item_offsets_[c + 1]; ++i, ++lane) {
-      const std::int32_t pid = item_ids_[i];
-      soa_.set_lane(lane, patches[static_cast<std::size_t>(pid)].hit_constants(), pid);
-    }
-  }
+  const auto ids_of = [&](std::size_t c) {
+    return c < nc ? coarse_refs.data() + coarse_off[c] : item_ids_.data() + item_offsets_[c];
+  };
+  pack_leaves(patches, item_offsets_, ids_of, width, item_ids_, lane_offsets_, soa_);
 }
 
 std::size_t HashGrid::node_count() const {

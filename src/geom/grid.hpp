@@ -21,9 +21,10 @@
 // The accepted hit is bitwise-equal to the brute scan, like the octree's.
 //
 // The build is deterministic for any worker count by construction: the
-// counting-sort passes run in a fixed order, and the parallel phases
-// (per-hot-cell sub-rasterization and the SoA fill on the WorkerPool) write
-// disjoint precomputed ranges whose contents do not depend on the schedule.
+// counting-sort passes run in a fixed order, and the parallel phases on the
+// WorkerPool (per-hot-cell sub-rasterization, then the leaf pack,
+// pack_leaves) write disjoint precomputed ranges whose contents do not
+// depend on the schedule.
 #pragma once
 
 #include <array>
@@ -53,6 +54,10 @@ class HashGrid final : public AccelStructure {
   std::size_t item_ref_count() const override { return item_ids_.size(); }
   std::size_t lane_count() const override { return soa_.size(); }
   std::size_t memory_bytes() const override;
+  std::span<const std::uint32_t> item_offsets() const override { return item_offsets_; }
+  std::span<const std::int32_t> item_ids() const override { return item_ids_; }
+  std::span<const std::uint32_t> lane_offsets() const override { return lane_offsets_; }
+  const LeafSoA& leaf_soa() const override { return soa_; }
 
   bool intersect(const Ray& ray, double tmax, SceneHit& best) const override;
   bool intersect_counted(const Ray& ray, double tmax, SceneHit& best,
@@ -87,7 +92,7 @@ class HashGrid final : public AccelStructure {
   std::vector<std::int32_t> coarse_sub_;
   // CSR item lists and SoA lanes over the unified cell-id space.
   std::vector<std::uint32_t> item_offsets_;
-  std::vector<std::int32_t> item_ids_;
+  UninitVector<std::int32_t> item_ids_;
   std::vector<std::uint32_t> lane_offsets_;
   LeafSoA soa_;
   int depth_ = 0;

@@ -4,26 +4,49 @@
 // those TUs all carry the kernel flags (see PHOTON_KERNEL_TUS in CMakeLists).
 #include "geom/leaf_kernel_inl.hpp"
 
+#include <algorithm>
+#include <memory>
+
 namespace photon {
 
 int kernel_lane_width() { return simd::kLanes; }
 const char* kernel_backend() { return simd::kBackendName; }
 
+std::array<std::span<double>*, 12> LeafSoA::arrays() {
+  return {&nx, &ny, &nz, &plane_d, &sx, &sy, &sz, &s_base, &tx, &ty, &tz, &t_base};
+}
+
+std::array<std::span<const double>, 12> LeafSoA::arrays() const {
+  return {nx, ny, nz, plane_d, sx, sy, sz, s_base, tx, ty, tz, t_base};
+}
+
 void LeafSoA::clear() {
-  nx.clear(); ny.clear(); nz.clear(); plane_d.clear();
-  sx.clear(); sy.clear(); sz.clear(); s_base.clear();
-  tx.clear(); ty.clear(); tz.clear(); t_base.clear();
+  constants_.clear();
+  for (std::span<double>* array : arrays()) *array = {};
   id.clear();
 }
 
 void LeafSoA::resize(std::size_t lanes) {
-  nx.assign(lanes, 0.0); ny.assign(lanes, 0.0); nz.assign(lanes, 0.0);
-  plane_d.assign(lanes, 0.0);
-  sx.assign(lanes, 0.0); sy.assign(lanes, 0.0); sz.assign(lanes, 0.0);
-  s_base.assign(lanes, 0.0);
-  tx.assign(lanes, 0.0); ty.assign(lanes, 0.0); tz.assign(lanes, 0.0);
-  t_base.assign(lanes, 0.0);
-  id.assign(lanes, -1);
+  // Each array starts on a cache line, so no lane block the kernel loads
+  // straddles two lines, and spans an odd number of lines, so the twelve
+  // start at twelve different offsets within a 4 KiB page: lane k of every
+  // array is touched at once (the leaf pack writes the twelve, the kernel
+  // loads them), and twelve streams congruent modulo 4 KiB would contend for
+  // one L1 set.
+  constexpr std::size_t kLineBytes = 64;
+  constexpr std::size_t kLine = kLineBytes / sizeof(double);
+  std::size_t stride = (lanes + kLine - 1) / kLine * kLine;
+  if ((stride / kLine) % 2 == 0) stride += kLine;
+  constants_.resize(12 * stride + kLine);
+  void* first = constants_.data();
+  std::size_t space = constants_.size() * sizeof(double);
+  std::align(kLineBytes, 12 * stride * sizeof(double), first, space);
+  double* at = static_cast<double*>(first);
+  for (std::span<double>* array : arrays()) {
+    *array = {at, lanes};
+    at += stride;
+  }
+  id.resize(lanes);
 }
 
 void LeafSoA::set_lane(std::size_t lane, const Patch::HitConstants& c, std::int32_t patch_id) {
@@ -42,15 +65,24 @@ void LeafSoA::set_lane(std::size_t lane, const Patch::HitConstants& c, std::int3
   id[lane] = patch_id;
 }
 
+void LeafSoA::set_sentinel(std::size_t lane) {
+  nx[lane] = ny[lane] = nz[lane] = plane_d[lane] = 0.0;
+  sx[lane] = sy[lane] = sz[lane] = s_base[lane] = 0.0;
+  tx[lane] = ty[lane] = tz[lane] = t_base[lane] = 0.0;
+  id[lane] = -1;
+}
+
 std::size_t LeafSoA::memory_bytes() const {
-  return 12 * nx.capacity() * sizeof(double) + id.capacity() * sizeof(std::int32_t);
+  return constants_.capacity() * sizeof(double) + id.capacity() * sizeof(std::int32_t);
 }
 
 bool LeafSoA::operator==(const LeafSoA& other) const {
-  return nx == other.nx && ny == other.ny && nz == other.nz && plane_d == other.plane_d &&
-         sx == other.sx && sy == other.sy && sz == other.sz && s_base == other.s_base &&
-         tx == other.tx && ty == other.ty && tz == other.tz && t_base == other.t_base &&
-         id == other.id;
+  const auto mine = arrays();
+  const auto theirs = other.arrays();
+  for (std::size_t k = 0; k < mine.size(); ++k) {
+    if (!std::ranges::equal(mine[k], theirs[k])) return false;
+  }
+  return id == other.id;
 }
 
 std::uint32_t padded_lanes(std::uint32_t items) {

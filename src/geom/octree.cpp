@@ -3,23 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <thread>
 #include <utility>
 
-#include "engine/pool.hpp"
 #include "geom/leaf_kernel_inl.hpp"
 
 namespace photon {
 
 namespace {
-
-// Build-time node; flattened into the CSR arrays once the topology is final.
-struct TempNode {
-  Aabb box;
-  std::array<std::int32_t, 8> children{-1, -1, -1, -1, -1, -1, -1, -1};
-  std::vector<std::int32_t> items;
-  bool leaf = true;
-};
 
 // Octants (bit a set = upper half on axis a) that take a patch with bounds
 // `pb` at midpoint `c`. Per axis, the upper half takes it iff pb.hi > c and
@@ -41,146 +31,147 @@ unsigned octants_reached(const Aabb& pb, const Vec3& c) {
   return mask;
 }
 
-// Partition items into octants by octants_reached; a patch crossing a
-// midplane appears in several children (duplicated references, not
-// duplicated geometry). Each child's stored box is tightened to the union of
-// its items' bounds clipped against the octant, which culls the octant's
-// empty space (walls and furniture leave most of a room empty) and keeps
-// pruning sound: a point p of a patch inside the node's box lies on each
-// axis in a closed half that takes the patch (p < c implies pb.lo < c,
-// p > c implies pb.hi > c, and p == c is in both closed halves), so p is
-// inside the box of a child holding the patch. Returns false when two or
-// more children would each hold every item and the rest none (a large patch
-// spanning the node, or coplanar patches stacked over its centre) —
-// subdividing further only multiplies work. A single child holding every
-// item still subdivides: its box is the tighter one.
-bool partition_octants(std::span<const Patch> patches, const Aabb& box,
-                       const std::vector<std::int32_t>& items,
-                       std::array<std::vector<std::int32_t>, 8>& child_items,
-                       std::array<Aabb, 8>& tight_boxes) {
-  const Vec3 c = box.center();
-  std::array<Aabb, 8> child_boxes;
-  for (int o = 0; o < 8; ++o) child_boxes[o] = box.octant(o);
-  for (const std::int32_t item : items) {
-    const Aabb pb = patches[static_cast<std::size_t>(item)].bounds();
-    const unsigned reached = octants_reached(pb, c);
-    for (int o = 0; o < 8; ++o) {
-      if (reached & (1u << o)) {
-        child_items[o].push_back(item);
-        tight_boxes[o].expand(Aabb{max(pb.lo, child_boxes[o].lo), min(pb.hi, child_boxes[o].hi)});
+// A node as the build recursion leaves it, before the breadth-first flatten.
+// A node's non-empty children are one block of its arena, in octant order,
+// as they will be in the flat array.
+struct BuildNode {
+  Aabb box;
+  std::int32_t first_child = -1;
+  std::uint8_t child_mask = 0;   // bit o set when octant o has a child; 0 for a leaf
+  std::uint32_t leaf_begin = 0;  // a leaf's items: its arena's leaf_items from here
+  std::uint32_t leaf_count = 0;
+  std::int32_t task = -1;  // >= 0: a cut node, built as that task's arena root
+};
+
+// One build task: a subtree's nodes (its root first) and its leaves' item
+// lists. `items` is a stack of item lists: the lists of the nodes on the
+// current DFS path, each node's children's lists appended at the tail while
+// they are built and truncated after.
+struct Arena {
+  int depth = 0;  // the root's; its item list starts `items`
+  std::vector<BuildNode> nodes;
+  UninitVector<std::int32_t> items;
+  std::vector<std::int32_t> leaf_items;
+  std::vector<std::uint8_t> reached;  // per item of the node being split
+  int deepest = 0;
+};
+
+// Nodes at this depth become tasks when the build runs parallel: up to 64
+// subtrees, enough to balance a few workers.
+constexpr int kTaskDepth = 2;
+constexpr int kNoCut = -1;
+
+struct Builder {
+  std::span<const Aabb> bounds;  // per patch, computed once
+  int max_leaf_items;
+  int max_depth;
+  std::vector<Arena> tasks;
+
+  // Builds node a.nodes[idx], whose box is set, over a.items[begin, end) at
+  // `depth`. Each non-empty child's items are its parent's in order, so a
+  // stable count-then-scatter split at the arena's tail reproduces them. A
+  // node at `cut_depth` is not built here but moved to a new task arena.
+  void build(Arena& a, std::int32_t idx, std::size_t begin, std::size_t end, int depth,
+             int cut_depth) {
+    if (depth == cut_depth) {
+      a.nodes[static_cast<std::size_t>(idx)].task = static_cast<std::int32_t>(tasks.size());
+      Arena& t = tasks.emplace_back();
+      t.depth = depth;
+      t.nodes.push_back(BuildNode{a.nodes[static_cast<std::size_t>(idx)].box});
+      t.items.assign(a.items.begin() + static_cast<std::ptrdiff_t>(begin),
+                     a.items.begin() + static_cast<std::ptrdiff_t>(end));
+      return;
+    }
+    a.deepest = std::max(a.deepest, depth);
+
+    const std::size_t n = end - begin;
+    std::array<std::uint32_t, 8> count{};
+    std::array<Aabb, 8> tight;
+    if (static_cast<int>(n) <= max_leaf_items || depth >= max_depth ||
+        !partition(a, a.nodes[static_cast<std::size_t>(idx)].box, begin, end, count, tight)) {
+      BuildNode& leaf = a.nodes[static_cast<std::size_t>(idx)];
+      leaf.leaf_begin = static_cast<std::uint32_t>(a.leaf_items.size());
+      leaf.leaf_count = static_cast<std::uint32_t>(n);
+      a.leaf_items.insert(a.leaf_items.end(), a.items.begin() + static_cast<std::ptrdiff_t>(begin),
+                          a.items.begin() + static_cast<std::ptrdiff_t>(end));
+      return;
+    }
+
+    // Scatter into the children's lists, in octant order at the tail.
+    const std::size_t base = a.items.size();
+    std::array<std::size_t, 8> at{};
+    std::size_t total = 0;
+    for (std::size_t o = 0; o < 8; ++o) {
+      at[o] = base + total;
+      total += count[o];
+    }
+    a.items.resize(base + total);
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::int32_t item = a.items[begin + k];
+      for (unsigned mask = a.reached[k]; mask != 0; mask &= mask - 1) {
+        a.items[at[static_cast<std::size_t>(std::countr_zero(mask))]++] = item;
       }
     }
-  }
-  int holding_all = 0;
-  for (int o = 0; o < 8; ++o) {
-    if (child_items[o].empty()) continue;
-    if (child_items[o].size() < items.size()) return true;
-    ++holding_all;
-  }
-  return holding_all == 1;
-}
 
-std::int32_t build_temp(std::span<const Patch> patches, std::vector<TempNode>& temp,
-                        const Aabb& box, std::vector<std::int32_t> items, int depth,
-                        int max_depth, const AccelBuildParams& params, int& deepest) {
-  const auto idx = static_cast<std::int32_t>(temp.size());
-  temp.push_back(TempNode{});
-  temp[static_cast<std::size_t>(idx)].box = box;
-  deepest = std::max(deepest, depth);
-
-  if (static_cast<int>(items.size()) <= params.max_leaf_items || depth >= max_depth) {
-    temp[static_cast<std::size_t>(idx)].items = std::move(items);
-    return idx;
-  }
-
-  std::array<std::vector<std::int32_t>, 8> child_items;
-  std::array<Aabb, 8> tight_boxes;
-  if (!partition_octants(patches, box, items, child_items, tight_boxes)) {
-    temp[static_cast<std::size_t>(idx)].items = std::move(items);
-    return idx;
-  }
-
-  temp[static_cast<std::size_t>(idx)].leaf = false;
-  for (int o = 0; o < 8; ++o) {
-    if (child_items[o].empty()) continue;
-    const std::int32_t child = build_temp(patches, temp, tight_boxes[o],
-                                          std::move(child_items[o]), depth + 1, max_depth,
-                                          params, deepest);
-    temp[static_cast<std::size_t>(idx)].children[static_cast<std::size_t>(o)] = child;
-  }
-  return idx;
-}
-
-// Builds the temp topology with the root's non-empty octants decomposed as
-// independent tasks on the persistent worker pool (`workers` wide). Each
-// octant subtree is built into its own arena by the same recursion the
-// serial path uses (the DFS touches no shared state), then the arenas are
-// stitched onto the root in octant order with child indices rebased. The stitched topology — and therefore the
-// BFS-flattened node/CSR/SoA arrays — is identical for every worker count,
-// including the workers == 1 path that runs the same tasks inline.
-void build_temp_root(std::span<const Patch> patches, std::vector<TempNode>& temp,
-                     const Aabb& box, std::vector<std::int32_t> items, int max_depth,
-                     const AccelBuildParams& params, int& deepest, int workers) {
-  temp.push_back(TempNode{});
-  temp[0].box = box;
-  deepest = 0;
-
-  if (static_cast<int>(items.size()) <= params.max_leaf_items || 0 >= max_depth) {
-    temp[0].items = std::move(items);
-    return;
-  }
-
-  std::array<std::vector<std::int32_t>, 8> child_items;
-  std::array<Aabb, 8> tight_boxes;
-  if (!partition_octants(patches, box, items, child_items, tight_boxes)) {
-    temp[0].items = std::move(items);
-    return;
-  }
-
-  struct Subtree {
-    std::vector<TempNode> temp;
-    int deepest = 0;
-  };
-  std::array<Subtree, 8> sub;
-  std::vector<int> tasks;
-  tasks.reserve(8);
-  for (int o = 0; o < 8; ++o) {
-    if (!child_items[o].empty()) tasks.push_back(o);
-  }
-
-  const auto run_task = [&](int o) {
-    build_temp(patches, sub[static_cast<std::size_t>(o)].temp, tight_boxes[o],
-               std::move(child_items[static_cast<std::size_t>(o)]), 1, max_depth, params,
-               sub[static_cast<std::size_t>(o)].deepest);
-  };
-
-  const int T = std::min<int>(workers, static_cast<int>(tasks.size()));
-  if (T <= 1) {
-    for (const int o : tasks) run_task(o);
-  } else {
-    // Octant subtrees as pool tasks (one chunk each) on the persistent
-    // process pool — no thread spawn per build. Nested builds (a build
-    // issued from inside a pool task) run inline via the pool's reentrancy
-    // path, so this is safe to call from anywhere.
-    WorkerPool::instance().run(tasks.size(), T, [&](std::uint64_t i, int) {
-      run_task(tasks[static_cast<std::size_t>(i)]);
-    });
-  }
-
-  temp[0].leaf = false;
-  for (const int o : tasks) {
-    Subtree& s = sub[static_cast<std::size_t>(o)];
-    const auto offset = static_cast<std::int32_t>(temp.size());
-    temp[0].children[static_cast<std::size_t>(o)] = offset;
-    for (TempNode& n : s.temp) {
-      for (std::int32_t& c : n.children) {
-        if (c >= 0) c += offset;
-      }
-      temp.push_back(std::move(n));
+    const auto first = static_cast<std::int32_t>(a.nodes.size());
+    std::uint8_t child_mask = 0;
+    for (std::size_t o = 0; o < 8; ++o) {
+      if (count[o] == 0) continue;
+      child_mask = static_cast<std::uint8_t>(child_mask | (1u << o));
+      a.nodes.push_back(BuildNode{tight[o]});
     }
-    deepest = std::max(deepest, s.deepest);
+    a.nodes[static_cast<std::size_t>(idx)].first_child = first;
+    a.nodes[static_cast<std::size_t>(idx)].child_mask = child_mask;
+    std::int32_t child = first;
+    std::size_t child_begin = base;
+    for (std::size_t o = 0; o < 8; ++o) {
+      if (count[o] == 0) continue;
+      build(a, child++, child_begin, child_begin + count[o], depth + 1, cut_depth);
+      child_begin += count[o];
+    }
+    a.items.resize(base);
   }
-}
+
+  // Counts the items of a.items[begin, end) each octant takes
+  // (octants_reached; a patch crossing a midplane is counted in several
+  // children — duplicated references, not duplicated geometry) and records
+  // each item's octant mask in a.reached. Each child's box is tightened to
+  // the union of its items' bounds clipped against the octant, which culls
+  // the octant's empty space (walls and furniture leave most of a room
+  // empty) and keeps pruning sound: a point p of a patch inside the node's
+  // box lies on each axis in a closed half that takes the patch (p < c
+  // implies pb.lo < c, p > c implies pb.hi > c, and p == c is in both closed
+  // halves), so p is inside the box of a child holding the patch. Returns
+  // false when two or more children would each hold every item and the rest
+  // none (a large patch spanning the node, or coplanar patches stacked over
+  // its centre) — subdividing further only multiplies work. A single child
+  // holding every item still subdivides: its box is the tighter one.
+  bool partition(Arena& a, const Aabb& box, std::size_t begin, std::size_t end,
+                 std::array<std::uint32_t, 8>& count, std::array<Aabb, 8>& tight) const {
+    const Vec3 c = box.center();
+    std::array<Aabb, 8> octant_boxes;
+    for (int o = 0; o < 8; ++o) octant_boxes[static_cast<std::size_t>(o)] = box.octant(o);
+    const std::size_t n = end - begin;
+    if (a.reached.size() < n) a.reached.resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      const Aabb& pb = bounds[static_cast<std::size_t>(a.items[begin + k])];
+      const unsigned reached = octants_reached(pb, c);
+      a.reached[k] = static_cast<std::uint8_t>(reached);
+      for (unsigned mask = reached; mask != 0; mask &= mask - 1) {
+        const auto o = static_cast<std::size_t>(std::countr_zero(mask));
+        ++count[o];
+        tight[o].expand(Aabb{max(pb.lo, octant_boxes[o].lo), min(pb.hi, octant_boxes[o].hi)});
+      }
+    }
+    int holding_all = 0;
+    for (const std::uint32_t held : count) {
+      if (held == 0) continue;
+      if (held < n) return true;
+      ++holding_all;
+    }
+    return holding_all == 1;
+  }
+};
 
 }  // namespace
 
@@ -192,77 +183,87 @@ void Octree::build(std::span<const Patch> patches, const AccelBuildParams& param
   soa_.clear();
   depth_ = 0;
   bounds_ = Aabb{};
-  std::vector<std::int32_t> all(patches.size());
-  for (std::size_t i = 0; i < patches.size(); ++i) {
-    all[i] = static_cast<std::int32_t>(i);
-    bounds_.expand(patches[i].bounds());
-  }
   if (patches.empty()) return;
+
+  const int width = build_width(params, patches.size());
+  constexpr std::size_t kBoundsChunk = 4096;
+  std::vector<Aabb> bounds(patches.size());
+  run_build_tasks(chunk_count(patches.size(), kBoundsChunk), width, [&](std::size_t c) {
+    const std::size_t end = std::min(patches.size(), (c + 1) * kBoundsChunk);
+    for (std::size_t i = c * kBoundsChunk; i < end; ++i) bounds[i] = patches[i].bounds();
+  });
+  for (const Aabb& b : bounds) bounds_.expand(b);
   // Pad so axis-aligned patches on the boundary sit strictly inside.
   bounds_ = bounds_.padded(1e-6 * (1.0 + bounds_.extent().length()));
 
-  const int max_depth = std::min(params.max_depth, kMaxDepth);
-  int workers = params.workers;
-  if (workers <= 0) workers = static_cast<int>(std::thread::hardware_concurrency());
-  if (workers < 1) workers = 1;
-  // Small builds finish in well under the cost of spawning a thread pool;
-  // only the auto setting is gated (an explicit workers request — e.g. the
-  // determinism tests — always takes the task-decomposed path).
-  constexpr std::size_t kParallelBuildMinItems = 2048;
-  if (params.workers <= 0 && patches.size() < kParallelBuildMinItems) workers = 1;
-  std::vector<TempNode> temp;
-  temp.reserve(patches.size());
-  build_temp_root(patches, temp, bounds_, std::move(all), max_depth, params, depth_, workers);
+  // The top levels build serially into one arena; when the build is
+  // parallel, every non-empty node at kTaskDepth is cut, in DFS order, into
+  // a task that the same recursion builds into its own arena on the pool.
+  // Cut or not, each node is built from the same item list in the same
+  // order, so every width yields the same topology.
+  Builder builder{bounds, params.max_leaf_items, std::min(params.max_depth, kMaxDepth), {}};
+  Arena top;
+  top.nodes.push_back(BuildNode{bounds_});
+  top.items.resize(patches.size());
+  for (std::size_t i = 0; i < patches.size(); ++i) top.items[i] = static_cast<std::int32_t>(i);
+  builder.build(top, 0, 0, patches.size(), 0, width > 1 ? kTaskDepth : kNoCut);
+  std::vector<Arena>& tasks = builder.tasks;
+  run_build_tasks(tasks.size(), width, [&](std::size_t t) {
+    Arena& a = tasks[t];
+    builder.build(a, 0, 0, a.items.size(), a.depth, kNoCut);
+  });
 
-  // Flatten breadth-first: each interior node's non-empty children become one
-  // consecutive block, located through the octant bitmask + popcount. BFS
-  // order keeps the heavily-traversed upper levels densely packed.
-  std::vector<std::int32_t> flat_to_temp;
-  flat_to_temp.reserve(temp.size());
-  nodes_.reserve(temp.size());
-  flat_to_temp.push_back(0);
-  nodes_.push_back(Node{temp[0].box, -1, 0});
+  // Flatten breadth-first straight from the arenas: each interior node's
+  // children block becomes one consecutive block of the flat array, located
+  // through the octant bitmask + popcount. BFS order keeps the
+  // heavily-traversed upper levels densely packed.
+  struct Ref {
+    const Arena* arena;
+    std::int32_t node;
+    const BuildNode& get() const { return arena->nodes[static_cast<std::size_t>(node)]; }
+  };
+  const auto resolve = [&](const Arena& a, std::int32_t node) {
+    const std::int32_t task = a.nodes[static_cast<std::size_t>(node)].task;
+    return task < 0 ? Ref{&a, node} : Ref{&tasks[static_cast<std::size_t>(task)], 0};
+  };
+  std::size_t node_total = top.nodes.size() - tasks.size();
+  depth_ = top.deepest;
+  for (const Arena& a : tasks) {
+    node_total += a.nodes.size();
+    depth_ = std::max(depth_, a.deepest);
+  }
+  std::vector<Ref> order;
+  order.reserve(node_total);
+  nodes_.reserve(node_total);
+  order.push_back(Ref{&top, 0});
+  nodes_.push_back(Node{bounds_, -1, 0});
   for (std::size_t flat = 0; flat < nodes_.size(); ++flat) {
-    const TempNode& t = temp[static_cast<std::size_t>(flat_to_temp[flat])];
-    if (t.leaf) continue;
+    const Ref ref = order[flat];
+    const BuildNode& t = ref.get();
+    if (t.child_mask == 0) continue;
     nodes_[flat].first_child = static_cast<std::int32_t>(nodes_.size());
-    std::uint8_t mask = 0;
-    for (int o = 0; o < 8; ++o) {
-      const std::int32_t child = t.children[static_cast<std::size_t>(o)];
-      if (child < 0) continue;
-      mask = static_cast<std::uint8_t>(mask | (1u << o));
-      flat_to_temp.push_back(child);
-      nodes_.push_back(Node{temp[static_cast<std::size_t>(child)].box, -1, 0});
-    }
-    nodes_[flat].child_mask = mask;
-  }
-
-  item_offsets_.reserve(nodes_.size() + 1);
-  for (std::size_t flat = 0; flat < nodes_.size(); ++flat) {
-    item_offsets_.push_back(static_cast<std::uint32_t>(item_ids_.size()));
-    const TempNode& t = temp[static_cast<std::size_t>(flat_to_temp[flat])];
-    item_ids_.insert(item_ids_.end(), t.items.begin(), t.items.end());
-  }
-  item_offsets_.push_back(static_cast<std::uint32_t>(item_ids_.size()));
-
-  // SoA leaf blocks: per node, the CSR item list padded up to the kernel lane
-  // width (geom/leaf_kernel.hpp). Only the real-item lanes are overwritten;
-  // the padding keeps the sentinel constants resize() installed.
-  lane_offsets_.reserve(nodes_.size() + 1);
-  std::uint32_t lanes = 0;
-  for (std::size_t flat = 0; flat < nodes_.size(); ++flat) {
-    lane_offsets_.push_back(lanes);
-    lanes += padded_lanes(item_offsets_[flat + 1] - item_offsets_[flat]);
-  }
-  lane_offsets_.push_back(lanes);
-  soa_.resize(lanes);
-  for (std::size_t flat = 0; flat < nodes_.size(); ++flat) {
-    std::uint32_t lane = lane_offsets_[flat];
-    for (std::uint32_t i = item_offsets_[flat]; i < item_offsets_[flat + 1]; ++i, ++lane) {
-      const std::int32_t pid = item_ids_[i];
-      soa_.set_lane(lane, patches[static_cast<std::size_t>(pid)].hit_constants(), pid);
+    nodes_[flat].child_mask = t.child_mask;
+    const std::int32_t end = t.first_child + std::popcount(static_cast<unsigned>(t.child_mask));
+    for (std::int32_t child = t.first_child; child < end; ++child) {
+      order.push_back(resolve(*ref.arena, child));
+      nodes_.push_back(Node{order.back().get().box, -1, 0});
     }
   }
+
+  // CSR offsets here; the ids themselves, and the SoA lanes, are written
+  // block by block in the leaf pack, copied from the arenas' leaf lists.
+  item_offsets_.resize(nodes_.size() + 1);
+  std::uint32_t refs = 0;
+  for (std::size_t flat = 0; flat < nodes_.size(); ++flat) {
+    item_offsets_[flat] = refs;
+    refs += order[flat].get().leaf_count;
+  }
+  item_offsets_[nodes_.size()] = refs;
+  item_ids_.resize(refs);
+  const auto leaf_items_of = [&](std::size_t flat) {
+    return order[flat].arena->leaf_items.data() + order[flat].get().leaf_begin;
+  };
+  pack_leaves(patches, item_offsets_, leaf_items_of, width, item_ids_, lane_offsets_, soa_);
 }
 
 template <bool Count>

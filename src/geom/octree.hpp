@@ -22,10 +22,13 @@
 // Queries answer entirely from this packed snapshot — they do not read the
 // Patch array the index was built from.
 //
-// build() decomposes per top-level octant across threads
-// (AccelBuildParams::workers); subtree arenas are stitched in octant order,
-// so the flattened node/CSR/SoA arrays are bitwise-identical for any worker
-// count.
+// build() computes each patch's bounds once and splits a node's items with a
+// stable count-then-scatter pass into the tail of an index arena. A parallel
+// build (AccelBuildParams::workers) cuts every non-empty depth-2 node into a
+// pool task that the same recursion builds into its own arena, flattens
+// breadth-first straight from the arenas, and packs the leaves in blocks on
+// the pool (pack_leaves), so the node/CSR/SoA arrays are bitwise-identical
+// for any worker count.
 #pragma once
 
 #include <cstdint>
@@ -72,9 +75,10 @@ class Octree final : public AccelStructure {
                          TraversalStats& stats) const override;
   using AccelStructure::intersect;  // the optional-returning wrapper
 
-  // CSR views, exposed for the build-determinism tests and analysis tools.
-  std::span<const std::uint32_t> item_offsets() const { return item_offsets_; }
-  std::span<const std::int32_t> item_ids() const { return item_ids_; }
+  std::span<const std::uint32_t> item_offsets() const override { return item_offsets_; }
+  std::span<const std::int32_t> item_ids() const override { return item_ids_; }
+  std::span<const std::uint32_t> lane_offsets() const override { return lane_offsets_; }
+  const LeafSoA& leaf_soa() const override { return soa_; }
 
   // True when every flattened array (nodes, CSR item lists, lane offsets and
   // SoA constants) is bitwise-equal — the parallel-build determinism pin.
@@ -96,7 +100,7 @@ class Octree final : public AccelStructure {
   // CSR leaf item lists: node i's items are item_ids_[item_offsets_[i] ..
   // item_offsets_[i + 1]).
   std::vector<std::uint32_t> item_offsets_;
-  std::vector<std::int32_t> item_ids_;
+  UninitVector<std::int32_t> item_ids_;
   // SoA leaf blocks: node i's lanes are [lane_offsets_[i], lane_offsets_[i+1])
   // in soa_, a multiple of the kernel lane width (items padded with
   // sentinels). Same item order as the CSR lists.

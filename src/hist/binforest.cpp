@@ -149,6 +149,10 @@ Bytes BinForest::pack_owned_trees(const std::vector<int>& owner, int rank) const
   return out;
 }
 
+void BinForest::set_policy(const SplitPolicy& policy) {
+  for (BinTree& tree : trees_) tree.set_policy(policy);
+}
+
 void BinForest::merge_owned_trees(const BinForest& other, const std::vector<int>& owner,
                                   int rank) {
   if (trees_.size() != other.trees_.size()) {

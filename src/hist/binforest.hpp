@@ -25,6 +25,11 @@ class BinForest {
   std::size_t patch_count() const { return trees_.size() / 2; }
   std::size_t tree_count() const { return trees_.size(); }
 
+  // Gives every tree `policy`. A loaded tree keeps only z and min_count (the
+  // BinTree record), so a run that adopts a loaded forest sets its own
+  // policy on it, as a fresh forest would have it.
+  void set_policy(const SplitPolicy& policy);
+
   static int tree_index(int patch, bool front) { return 2 * patch + (front ? 0 : 1); }
 
   BinTree& tree(int patch, bool front) { return trees_[static_cast<std::size_t>(tree_index(patch, front))]; }

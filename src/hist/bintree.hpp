@@ -47,6 +47,7 @@ class BinTree {
   std::uint64_t memory_bytes() const;
 
   const SplitPolicy& policy() const { return policy_; }
+  void set_policy(const SplitPolicy& policy) { policy_ = policy; }
 
   // Binary (de)serialization — [u64 node count][policy z][policy min_count]
   // [raw node array] — appended to / consumed from a byte buffer. It is the

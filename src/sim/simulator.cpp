@@ -11,6 +11,7 @@ RunResult run_serial(const Scene& scene, const RunConfig& config,
   const std::uint64_t first_photon = resume_from ? resume_from->counters.emitted : 0;
   if (resume_from) {
     result.forest = resume_from->forest;
+    result.forest.set_policy(config.policy);
     result.counters = resume_from->counters;
   } else {
     result.forest = BinForest(scene.patch_count(), config.policy);

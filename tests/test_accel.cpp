@@ -11,10 +11,12 @@
 
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
+#include "engine/pool.hpp"
 #include "geom/grid.hpp"
 #include "geom/leaf_kernel.hpp"
 #include "geom/scenes.hpp"
@@ -230,22 +232,88 @@ TEST_P(AccelKindTest, MatchesBruteForceOnRandomSoup) {
   }
 }
 
+std::vector<Patch> patches_of(const Scene& scene) {
+  return {scene.patches().begin(), scene.patches().end()};
+}
+
+// The inputs the build pins run on: random soups below and above the
+// auto-width threshold, the tessellated room (thousands of coplanar tiles
+// meeting edge to edge) and the lab.
+std::vector<std::pair<std::string, std::vector<Patch>>> build_inputs() {
+  std::vector<std::pair<std::string, std::vector<Patch>>> inputs;
+  for (const int n : {64, 700, 2500}) {
+    inputs.emplace_back("soup" + std::to_string(n),
+                        random_patch_soup(n, 1000 + static_cast<std::uint64_t>(n)));
+  }
+  inputs.emplace_back("room", patches_of(scenes::tessellated_room()));
+  inputs.emplace_back("lab", patches_of(scenes::computer_lab()));
+  return inputs;
+}
+
 // The parallel-build determinism pin for every kind: the packed arrays must
 // be bitwise-identical at any worker count (explicit workers always takes
-// the task-decomposed path, so this covers the pool stitching too).
+// the task-decomposed path) — also under adversarial pool schedules, every
+// helper stealing from slot 0 or a shuffled claim order, since the tasks and
+// leaf-pack blocks write only their own arenas and ranges.
 TEST_P(AccelKindTest, ParallelBuildIsBitwiseIdenticalToSerial) {
-  for (const int n : {64, 700, 2500}) {
-    const auto patches = random_patch_soup(n, 1000 + static_cast<std::uint64_t>(n));
-    const auto serial = make_accel(GetParam());
+  for (const auto& [name, patches] : build_inputs()) {
     AccelBuildParams params;
     params.workers = 1;
+    const auto serial = make_accel(GetParam());
     serial->build(patches, params);
-    for (const int workers : {2, 4, 8}) {
-      const auto parallel = make_accel(GetParam());
+    for (const auto schedule : {WorkerPool::TestSchedule::kNone,
+                                WorkerPool::TestSchedule::kForceSteal,
+                                WorkerPool::TestSchedule::kShuffle}) {
+      const WorkerPool::ScheduleGuard guard(schedule, 2024);
+      for (const int workers : {1, 2, 3, 4, 8}) {
+        params.workers = workers;
+        const auto parallel = make_accel(GetParam());
+        parallel->build(patches, params);
+        EXPECT_TRUE(parallel->identical_to(*serial))
+            << accel_kind_name(GetParam()) << " " << name << " workers=" << workers
+            << " schedule=" << static_cast<int>(schedule);
+      }
+    }
+  }
+}
+
+// The pack allocates its lanes without zero-filling them, so it must write
+// every padding lane itself: all-zero constants (a zero normal, which the
+// kernel's denom != 0 test rejects) and id -1. Real lanes hold their item's
+// id and constants, in CSR order.
+TEST_P(AccelKindTest, EveryLaneIsAnItemOrASentinel) {
+  for (const auto& [name, patches] : build_inputs()) {
+    for (const int workers : {1, 4}) {
+      AccelBuildParams params;
       params.workers = workers;
-      parallel->build(patches, params);
-      EXPECT_TRUE(parallel->identical_to(*serial))
-          << accel_kind_name(GetParam()) << " n=" << n << " workers=" << workers;
+      const auto accel = make_accel(GetParam());
+      accel->build(patches, params);
+      const auto items = accel->item_offsets();
+      const auto ids = accel->item_ids();
+      const auto lanes = accel->lane_offsets();
+      const LeafSoA& soa = accel->leaf_soa();
+      ASSERT_EQ(lanes.size(), items.size());
+      ASSERT_EQ(lanes.back(), soa.size());
+      std::size_t sentinels = 0;
+      for (std::size_t n = 0; n + 1 < items.size(); ++n) {
+        std::size_t lane = lanes[n];
+        for (std::uint32_t i = items[n]; i < items[n + 1]; ++i, ++lane) {
+          const Patch::HitConstants c = patches[static_cast<std::size_t>(ids[i])].hit_constants();
+          ASSERT_EQ(soa.id[lane], ids[i]) << name << " node " << n;
+          ASSERT_EQ(soa.nx[lane], c.normal.x) << name << " node " << n;
+          ASSERT_EQ(soa.t_base[lane], c.t_base) << name << " node " << n;
+        }
+        for (; lane < lanes[n + 1]; ++lane, ++sentinels) {
+          ASSERT_EQ(soa.id[lane], -1) << name << " node " << n << " lane " << lane;
+          for (const auto* array : {&soa.nx, &soa.ny, &soa.nz, &soa.plane_d, &soa.sx, &soa.sy,
+                                    &soa.sz, &soa.s_base, &soa.tx, &soa.ty, &soa.tz,
+                                    &soa.t_base}) {
+            ASSERT_EQ((*array)[lane], 0.0) << name << " node " << n << " lane " << lane;
+          }
+        }
+      }
+      EXPECT_EQ(sentinels, soa.size() - ids.size()) << name;
+      if (kernel_lane_width() > 1) EXPECT_GT(sentinels, 0u) << name;
     }
   }
 }

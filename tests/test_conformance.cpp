@@ -313,6 +313,52 @@ INSTANTIATE_TEST_SUITE_P(AllNames, LegBoundaryResumeTest,
                            return name;
                          });
 
+// --- A resumed run keeps its split policy. A tree's checkpoint record
+// stores only z and min_count, so a run that adopts the loaded forest (one
+// group) must put its own max_leaf_count and count_growth back, as the
+// partitioned groups' fresh trees have them. Every name at one group and at
+// several, through the checkpoint byte format.
+std::vector<Shape> policy_resume_shapes(const std::string& backend) {
+  if (backend == "serial") return {{1, 1}};
+  if (backend == "hybrid") return {{1, 2}, {2, 2}};
+  return {{1, 1}, {1, 4}};  // shared threads, dist-particle ranks, dist-spatial regions
+}
+
+class PolicyResumeTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(PolicyResumeTest, ResumeKeepsANonDefaultSplitPolicy) {
+  const std::string backend = GetParam();
+  const Scene& scene = *bundled_scenes()[0].scene;
+  SplitPolicy policy;
+  policy.max_leaf_count = 128;
+  policy.count_growth = 1.25;
+  for (const Shape& shape : policy_resume_shapes(backend)) {
+    const std::string label =
+        backend + " @ " + std::to_string(shape.groups) + "x" + std::to_string(shape.workers);
+    RunConfig leg1 = config_for(shape, 5000);
+    RunConfig leg2 = config_for(shape, 5000);
+    RunConfig straight_cfg = config_for(shape, 10000);
+    for (RunConfig* cfg : {&leg1, &leg2, &straight_cfg}) cfg->policy = policy;
+    const RunResult first = run_named(backend, scene, leg1);
+    std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+    save_checkpoint(first, buf);
+    RunResult loaded;
+    ASSERT_EQ(load_checkpoint_status(buf, loaded), CheckpointStatus::kOk) << label;
+
+    const RunResult resumed = run_named(backend, scene, leg2, &loaded);
+    const RunResult straight = run_named(backend, scene, straight_cfg);
+    EXPECT_EQ(resumed.forest.total_nodes(), straight.forest.total_nodes()) << label;
+    EXPECT_TRUE(resumed.forest == straight.forest) << label;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllNames, PolicyResumeTest, ::testing::ValuesIn(backend_names()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           std::string name = info.param;
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
+
 TEST(ConformanceAdaptive, AdaptiveWindowsEqualTheSerialRun) {
   // Adaptive window sizes follow wall-clock rates, so the window schedule
   // differs from run to run. Records apply in photon-id order at every

@@ -425,8 +425,11 @@ TEST(Watchdog, FiresAfterDeadlinePlusGraceWithSnapshotAndEmergency) {
   Progress::instance().tick("stuck-stage", 42);
   std::atomic<bool> emergency_ran{false};
   Watchdog wd(0.08, 0.05);
+  // A slow emergency save: fired() must not turn true before it finishes,
+  // however long it takes.
   wd.set_emergency([&](const ProgressSnapshot& snap) {
     EXPECT_GE(snap.total_ticks, 1u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
     emergency_ran = true;
   });
   const auto t0 = std::chrono::steady_clock::now();

@@ -7,6 +7,7 @@
 
 #include "core/rng.hpp"
 #include "geom/scenes.hpp"
+#include "sim/checkpoint.hpp"
 
 namespace photon {
 namespace {
@@ -328,10 +329,11 @@ TEST(Octree, TmaxCutsOffDistantHits) {
 }
 
 TEST(Octree, ParallelBuildIsBitwiseIdenticalToSerial) {
-  // build() decomposes per top-level octant across threads; the stitched
-  // arenas must flatten to the same node/CSR/SoA arrays for ANY worker count
-  // — not approximately, bitwise. Cover a real architectural scene and a
-  // random soup, at thread counts below and above the 8-octant task count.
+  // A parallel build cuts its depth-2 nodes into tasks, each built into its
+  // own arena; flattened, they must give the same node/CSR/SoA arrays for
+  // ANY worker count — not approximately, bitwise. Cover a real
+  // architectural scene and a random soup, at widths from 2 to past the
+  // task count.
   const Scene lab = scenes::computer_lab();
   const auto soup = random_patch_soup(600, 909);
   for (const auto& patches : {std::vector<Patch>(lab.patches().begin(), lab.patches().end()),
@@ -348,6 +350,46 @@ TEST(Octree, ParallelBuildIsBitwiseIdenticalToSerial) {
       EXPECT_EQ(parallel.node_count(), serial.node_count());
       EXPECT_EQ(parallel.depth(), serial.depth());
       EXPECT_EQ(parallel.item_ref_count(), serial.item_ref_count());
+    }
+  }
+}
+
+// The topology on the bundled scenes and the tessellated room, pinned to the
+// values recorded from the build before it was rewritten around per-task
+// index arenas: node count, depth, reference count and XXH64 digests of the
+// CSR arrays (which do not depend on the kernel lane width), at the serial
+// and at a parallel width.
+TEST(Octree, TopologyMatchesThePinnedBuild) {
+  struct Pin {
+    const char* scene;
+    std::size_t nodes;
+    int depth;
+    std::size_t refs;
+    std::uint64_t offsets_xxh64;
+    std::uint64_t ids_xxh64;
+  };
+  constexpr Pin kPins[] = {
+      {"cornell", 17, 2, 90, 0x3a532bf6f1b6f970ull, 0x60e00c2ee076dc89ull},
+      {"harpsichord", 83, 3, 337, 0xac6d37bf4d3b4a16ull, 0x3b6480c20d0e0affull},
+      {"lab", 1555, 5, 7428, 0x40f5c260db6f8f70ull, 0xe5691c96be81ca43ull},
+      {"room", 1045, 4, 5048, 0x3c8b427fc83c4df9ull, 0x1ac07d3ba3676a94ull},
+  };
+  for (const Pin& pin : kPins) {
+    const Scene scene = equivalence_scene(pin.scene);
+    for (const int workers : {1, 4}) {
+      AccelBuildParams params;
+      params.workers = workers;
+      Octree tree;
+      tree.build(scene.patches(), params);
+      const auto offsets = tree.item_offsets();
+      const auto ids = tree.item_ids();
+      EXPECT_EQ(tree.node_count(), pin.nodes) << pin.scene << " workers=" << workers;
+      EXPECT_EQ(tree.depth(), pin.depth) << pin.scene << " workers=" << workers;
+      EXPECT_EQ(tree.item_ref_count(), pin.refs) << pin.scene << " workers=" << workers;
+      EXPECT_EQ(xxh64(offsets.data(), offsets.size_bytes()), pin.offsets_xxh64)
+          << pin.scene << " workers=" << workers;
+      EXPECT_EQ(xxh64(ids.data(), ids.size_bytes()), pin.ids_xxh64)
+          << pin.scene << " workers=" << workers;
     }
   }
 }
