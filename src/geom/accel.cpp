@@ -15,6 +15,16 @@ int build_width(const AccelBuildParams& params, std::size_t items) {
   return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
+std::vector<Aabb> patch_bounds(std::span<const Patch> patches, int width) {
+  constexpr std::size_t kChunk = 4096;
+  std::vector<Aabb> bounds(patches.size());
+  run_build_tasks(chunk_count(patches.size(), kChunk), width, [&](std::size_t c) {
+    const std::size_t end = std::min(patches.size(), (c + 1) * kChunk);
+    for (std::size_t i = c * kChunk; i < end; ++i) bounds[i] = patches[i].bounds();
+  });
+  return bounds;
+}
+
 std::unique_ptr<AccelStructure> make_accel(AccelKind kind) {
   switch (kind) {
     case AccelKind::kGrid:

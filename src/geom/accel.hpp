@@ -165,6 +165,11 @@ void run_build_tasks(std::size_t n, int width, const Task& task) {
                              [&](std::uint64_t i, int) { task(static_cast<std::size_t>(i)); });
 }
 
+// Each patch's bounds, computed once in fixed chunks on the pool `width`
+// wide. Both builds read every patch's box from here, never from
+// Patch::bounds() again.
+std::vector<Aabb> patch_bounds(std::span<const Patch> patches, int width);
+
 // Factory over the registered structure kinds (the CLI's --accel values).
 std::unique_ptr<AccelStructure> make_accel(AccelKind kind);
 const char* accel_kind_name(AccelKind kind);

@@ -80,7 +80,9 @@ void HashGrid::build(std::span<const Patch> patches, const AccelBuildParams& par
   if (patches.empty()) return;
 
   const std::size_t n = patches.size();
-  for (std::size_t i = 0; i < n; ++i) bounds_.expand(patches[i].bounds());
+  const int width = build_width(params, n);
+  const std::vector<Aabb> patch_box = patch_bounds(patches, width);
+  for (const Aabb& b : patch_box) bounds_.expand(b);
   const double diag = bounds_.extent().length();
   bounds_ = bounds_.padded(1e-6 * (1.0 + diag));
 
@@ -108,7 +110,7 @@ void HashGrid::build(std::span<const Patch> patches, const AccelBuildParams& par
   // face is referenced by both neighbors.
   const double raster_eps = 1e-9 * (1.0 + diag);
   const auto coarse_range = [&](std::size_t pid, int out_lo[3], int out_hi[3]) {
-    const Aabb pb = patches[pid].bounds().padded(raster_eps);
+    const Aabb pb = patch_box[pid].padded(raster_eps);
     for (int a = 0; a < 3; ++a) {
       out_lo[a] = cell_index(pb.lo[a], bounds_.lo[a], cell_size_[a], res_[a]);
       out_hi[a] = cell_index(pb.hi[a], bounds_.lo[a], cell_size_[a], res_[a]);
@@ -162,8 +164,6 @@ void HashGrid::build(std::span<const Patch> patches, const AccelBuildParams& par
                     static_cast<std::size_t>(sub_res_);
   const std::size_t total_cells = nc + sub_blocks_ * sub3;
 
-  const int width = build_width(params, n);
-
   // Per-cell counts over the unified id space: leaf coarse cells keep their
   // counting-sort totals, hot cells zero (their sub-cells take over). The
   // per-block sub-rasterization writes only its own sub3 slice — disjoint
@@ -183,7 +183,7 @@ void HashGrid::build(std::span<const Patch> patches, const AccelBuildParams& par
   };
   const auto sub_range = [&](const Vec3& cell_lo, std::int32_t pid, int out_lo[3],
                              int out_hi[3]) {
-    const Aabb pb = patches[static_cast<std::size_t>(pid)].bounds().padded(raster_eps);
+    const Aabb pb = patch_box[static_cast<std::size_t>(pid)].padded(raster_eps);
     for (int a = 0; a < 3; ++a) {
       out_lo[a] = cell_index(pb.lo[a], cell_lo[a], ss[a], sub_res_);
       out_hi[a] = cell_index(pb.hi[a], cell_lo[a], ss[a], sub_res_);

@@ -186,12 +186,7 @@ void Octree::build(std::span<const Patch> patches, const AccelBuildParams& param
   if (patches.empty()) return;
 
   const int width = build_width(params, patches.size());
-  constexpr std::size_t kBoundsChunk = 4096;
-  std::vector<Aabb> bounds(patches.size());
-  run_build_tasks(chunk_count(patches.size(), kBoundsChunk), width, [&](std::size_t c) {
-    const std::size_t end = std::min(patches.size(), (c + 1) * kBoundsChunk);
-    for (std::size_t i = c * kBoundsChunk; i < end; ++i) bounds[i] = patches[i].bounds();
-  });
+  const std::vector<Aabb> bounds = patch_bounds(patches, width);
   for (const Aabb& b : bounds) bounds_.expand(b);
   // Pad so axis-aligned patches on the boundary sit strictly inside.
   bounds_ = bounds_.padded(1e-6 * (1.0 + bounds_.extent().length()));

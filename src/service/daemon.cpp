@@ -4,10 +4,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
+#include <list>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -132,21 +131,35 @@ bool run_daemon(PhotonService& service, const std::string& socket_path,
   }
 
   // shutdown_flag is written by connection threads (the `shutdown` request)
-  // and read by the accept loop; joined before return, so a plain bool under
-  // the thread vector's mutex would also do — the atomic is simpler.
+  // and read by the accept loop. Each connection thread raises its `closed`
+  // flag as its last act; the loop joins and drops closed connections at the
+  // top of every iteration, so the daemon holds threads (and their stacks)
+  // only for open connections plus those closed within the last poll tick.
+  // Threads are joined, never detached: they reference this frame.
   std::atomic<bool> shutdown_flag{false};
-  std::vector<std::thread> connections;
-  std::mutex connections_m;
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> closed{false};
+  };
+  std::list<Connection> connections;  // stable addresses for `closed`
 
   while (!should_stop() && !shutdown_flag.load(std::memory_order_acquire)) {
+    for (auto it = connections.begin(); it != connections.end();) {
+      if (it->closed.load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = connections.erase(it);
+      } else {
+        ++it;
+      }
+    }
     pollfd pfd{listener, POLLIN, 0};
     const int ready = poll(&pfd, 1, 200);  // stop-flag poll cadence
     if (ready <= 0) continue;
     const int client = accept(listener, nullptr, nullptr);
     if (client < 0) continue;
 
-    std::lock_guard<std::mutex> lock(connections_m);
-    connections.emplace_back([&service, &shutdown_flag, client] {
+    Connection& conn = connections.emplace_back();
+    conn.thread = std::thread([&service, &shutdown_flag, &closed = conn.closed, client] {
       std::string line;
       while (read_line(client, line, shutdown_flag)) {
         if (line.empty()) continue;
@@ -159,6 +172,7 @@ bool run_daemon(PhotonService& service, const std::string& socket_path,
         }
       }
       close(client);
+      closed.store(true, std::memory_order_release);
     });
   }
 
@@ -170,11 +184,7 @@ bool run_daemon(PhotonService& service, const std::string& socket_path,
   // returns once its job reaches a terminal state, which shutdown() forces
   // by preempting every active job.
   service.shutdown();
-  {
-    std::lock_guard<std::mutex> lock(connections_m);
-    for (std::thread& t : connections) t.join();
-    connections.clear();
-  }
+  for (Connection& conn : connections) conn.thread.join();
   unlink(socket_path.c_str());
   return true;
 }

@@ -1,7 +1,9 @@
 // The AF_UNIX front door of the photon service: accepts local connections on
 // a socket path and speaks the line protocol (service/protocol.hpp). One
 // thread per connection — `wait` blocks its own client, never the accept
-// loop or another client's `status`.
+// loop or another client's `status`. The accept loop joins a connection's
+// thread within one poll tick of the connection closing, so the daemon holds
+// threads only for its open connections.
 #pragma once
 
 #include <functional>

@@ -353,6 +353,12 @@ TEST(MiniMpiFaults, SilentDeathIsDeclaredByTheHeartbeatDetector) {
     run_world(2, opt, [&](Comm& comm) {
       comm.batch_tick(0);
       if (comm.rank() == 0) {
+        // Publish heartbeat 1 before the send: rank 1 snapshots rank 0's
+        // heartbeat when its second recv starts, after the first one has
+        // returned. Stored after the send, the heartbeat could advance
+        // inside rank 1's window, which the detector rightly reads as a
+        // live, slow peer (kTimeout).
+        comm.heartbeat(1);
         comm.send(1, Bytes(4));
         comm.batch_tick(1);  // dies here, silently
         FAIL() << "rank 0 survived its scripted kill";
