@@ -21,7 +21,6 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -89,10 +88,10 @@ GovRow preempt_resume(const Scene& scene, const RunConfig& cfg, double preempt_a
   clear_preempt();
   if (part.status == RunStatus::kPreempted && part.counters.emitted < cfg.photons) {
     // Round-trip the checkpoint the way a real preemption does, then resume.
-    std::stringstream bytes;
-    save_checkpoint(part, bytes);
+    const Bytes bytes = encode_checkpoint(part);
     RunResult loaded;
-    if (load_checkpoint_status(bytes, loaded) != CheckpointStatus::kOk) {
+    if (decode_checkpoint(bytes.data(), bytes.data() + bytes.size(), loaded) !=
+        CheckpointStatus::kOk) {
       std::fprintf(stderr, "error: preempted checkpoint did not round-trip\n");
       return row;
     }

@@ -50,13 +50,14 @@ int main(int argc, char** argv) {
   for (int patch = 5; patch <= 13; ++patch) {
     const Patch& p = scene.patch(patch);
     const BinTree& tree = result.forest.tree(patch, true);
+    const std::vector<BinRegion> regions = tree.regions();
     for (std::size_t i = 0; i < tree.node_count(); ++i) {
       const BinNode& n = tree.node(static_cast<int>(i));
       if (!n.is_leaf()) continue;
-      const Vec3 center = p.point_at((n.region.lo[0] + n.region.hi[0]) / 2.0,
-                                     (n.region.lo[1] + n.region.hi[1]) / 2.0);
+      const BinRegion& r = regions[i];
+      const Vec3 center = p.point_at((r.lo[0] + r.hi[0]) / 2.0, (r.lo[1] + r.hi[1]) / 2.0);
       if (center.x < 4.7 || center.x > 5.7) continue;
-      const double cell = n.region.extent(0) * n.region.extent(1) * p.area();
+      const double cell = r.extent(0) * r.extent(1) * p.area();
       if (center.z > 3.8 && center.z < 4.3) {
         shadow_tally += n.total_tally();
         shadow_area += cell;

@@ -359,8 +359,7 @@ ProgressSnapshot Watchdog::wedged_snapshot() const {
 std::uint64_t admission_estimate_bytes(const Scene& scene, const RunConfig& config) {
   const int width = std::max(config.workers, 1) * std::max(config.groups, 1);
   const std::uint64_t accel = scene.accel().memory_bytes();
-  const std::uint64_t forest =
-      BinForest(scene.patch_count(), config.policy).memory_bytes();
+  const std::uint64_t forest = BinForest::virgin_bytes(scene.patch_count());
   const std::uint64_t window =
       static_cast<std::uint64_t>(width) * std::max<std::uint64_t>(config.batch, 1);
   const std::uint64_t wire = window * sizeof(WireRecord);

@@ -102,20 +102,25 @@ struct BinRegion {
 };
 
 // One node of a bin tree. Leaves carry tallies; interior nodes remember the
-// split axis. `split_n`/`split_left` implement the paper's "speculative
-// binning": counts since the node's creation, per candidate axis, that would
-// have fallen in the lower daughter.
+// split axis and coordinate. A node's region is not stored: it follows from
+// the splits on the path down from BinRegion::full(), and a descent rebuilds
+// it by setting hi[axis] (lower daughter) or lo[axis] (upper daughter) to
+// `split` at each level, the same floats BinRegion::child produces.
+// `split_n`/`split_left` implement the paper's "speculative binning": counts
+// since the node's creation, per candidate axis, that would have fallen in
+// the lower daughter.
 struct BinNode {
-  BinRegion region;
   std::array<std::uint32_t, 3> tally{};       // lifetime count per color channel
   std::uint32_t split_n = 0;                  // photons since creation (all channels)
   std::array<std::uint32_t, kBinDims> split_left{};
-  std::int32_t left = -1;
-  std::int32_t right = -1;
+  float split = 0.0f;                         // interior: region.mid(axis) at the split
+  std::int32_t left = -1;                     // interior: the lower daughter
   std::int8_t axis = -1;
   std::uint8_t depth = 0;
 
   bool is_leaf() const { return left < 0; }
+  // The upper daughter: a split appends both daughters together.
+  std::int32_t right() const { return left < 0 ? -1 : left + 1; }
   std::uint64_t total_tally() const {
     return std::uint64_t{tally[0]} + tally[1] + tally[2];
   }

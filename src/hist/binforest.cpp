@@ -1,5 +1,6 @@
 #include "hist/binforest.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 namespace photon {
@@ -10,12 +11,21 @@ constexpr std::size_t kAnswerHeaderBytes =
     2 * sizeof(std::uint64_t) + sizeof(ChannelCounts) + sizeof(Rgb);
 constexpr std::uint64_t kMaxTrees = 1ULL << 24;
 // A tree record holds at least its header and one node.
-constexpr std::size_t kMinTreeBytes = BinTree::kSerializedHeaderBytes + sizeof(BinNode);
+constexpr std::size_t kMinTreeBytes =
+    BinTree::kSerializedHeaderBytes + BinTree::kSerializedNodeBytes;
+
+// True when a tree record's z and min_count, bit for bit, are the forest's.
+bool same_record_policy(const SplitPolicy& record, const SplitPolicy& forest) {
+  return std::bit_cast<std::uint64_t>(record.z) == std::bit_cast<std::uint64_t>(forest.z) &&
+         record.min_count == forest.min_count;
+}
 }  // namespace
 
-BinForest::BinForest(std::size_t n_patches, SplitPolicy policy) {
-  trees_.reserve(n_patches * 2);
-  for (std::size_t i = 0; i < n_patches * 2; ++i) trees_.emplace_back(policy);
+BinForest::BinForest(std::size_t n_patches, SplitPolicy policy)
+    : trees_(n_patches * 2), policy_(policy) {}
+
+std::uint64_t BinForest::virgin_bytes(std::size_t n_patches) {
+  return sizeof(BinForest) + 2 * n_patches * sizeof(BinTree);
 }
 
 double BinForest::radiance(int patch, bool front, const BinCoords& c, int channel,
@@ -83,7 +93,7 @@ void BinForest::save(Bytes& out) const {
   put_raw<std::uint64_t>(out, trees_.size());
   put_raw(out, emitted_);
   put_raw(out, total_power_);
-  for (const BinTree& t : trees_) t.save(out);
+  for (const BinTree& t : trees_) t.save(out, policy_);
 }
 
 bool BinForest::save(const std::string& path) const {
@@ -105,7 +115,16 @@ BinForest BinForest::load(const std::uint8_t*& p, const std::uint8_t* end) {
   }
   forest.trees_.reserve(static_cast<std::size_t>(n));
   try {
-    for (std::uint64_t i = 0; i < n; ++i) forest.trees_.push_back(BinTree::load(p, end));
+    for (std::uint64_t i = 0; i < n; ++i) {
+      SplitPolicy record;
+      forest.trees_.push_back(BinTree::load(p, end, record));
+      if (i == 0) {
+        forest.policy_.z = record.z;
+        forest.policy_.min_count = record.min_count;
+      } else if (!same_record_policy(record, forest.policy_)) {
+        return BinForest{};
+      }
+    }
   } catch (const std::runtime_error&) {
     return BinForest{};
   }
@@ -122,7 +141,7 @@ bool BinForest::load(const std::string& path, BinForest& forest) {
 
 void BinForest::append_framed_tree(Bytes& out, int idx) const {
   put_raw(out, static_cast<std::int32_t>(idx));
-  trees_[static_cast<std::size_t>(idx)].save(out);
+  trees_[static_cast<std::size_t>(idx)].save(out, policy_);
 }
 
 void BinForest::replace_framed_trees(const Bytes& buf) {
@@ -134,7 +153,11 @@ void BinForest::replace_framed_trees(const Bytes& buf) {
     if (idx < 0 || static_cast<std::size_t>(idx) >= trees_.size()) {
       throw std::runtime_error("BinForest: tree frame index out of range");
     }
-    trees_[static_cast<std::size_t>(idx)] = BinTree::load(p, end);
+    SplitPolicy record;
+    trees_[static_cast<std::size_t>(idx)] = BinTree::load(p, end, record);
+    if (!same_record_policy(record, policy_)) {
+      throw std::runtime_error("BinForest: tree frame policy differs from the forest's");
+    }
   }
 }
 
@@ -149,32 +172,15 @@ Bytes BinForest::pack_owned_trees(const std::vector<int>& owner, int rank) const
   return out;
 }
 
-void BinForest::set_policy(const SplitPolicy& policy) {
-  for (BinTree& tree : trees_) tree.set_policy(policy);
-}
-
-void BinForest::merge_owned_trees(const BinForest& other, const std::vector<int>& owner,
-                                  int rank) {
+void BinForest::copy_owned_trees(const BinForest& other, const std::vector<int>& owner,
+                                 int rank) {
   if (trees_.size() != other.trees_.size()) {
-    throw std::invalid_argument("BinForest::merge_owned_trees: tree counts differ");
+    throw std::invalid_argument("BinForest::copy_owned_trees: tree counts differ");
   }
   for (std::size_t p = 0; p < patch_count(); ++p) {
     if (owner[p] != rank) continue;
-    for (int side = 0; side < 2; ++side) {
-      const int idx = static_cast<int>(2 * p) + side;
-      trees_[static_cast<std::size_t>(idx)].merge(other.tree_at(idx));
-    }
-  }
-}
-
-void BinForest::merge(const BinForest& other) {
-  if (trees_.size() != other.trees_.size()) {
-    throw std::invalid_argument("BinForest::merge: tree counts differ");
-  }
-  for (std::size_t i = 0; i < trees_.size(); ++i) trees_[i].merge(other.trees_[i]);
-  for (std::size_t c = 0; c < emitted_.size(); ++c) emitted_[c] += other.emitted_[c];
-  if (total_power_.r == 0.0 && total_power_.g == 0.0 && total_power_.b == 0.0) {
-    total_power_ = other.total_power_;
+    trees_[2 * p] = other.trees_[2 * p];
+    trees_[2 * p + 1] = other.trees_[2 * p + 1];
   }
 }
 

@@ -6,6 +6,10 @@
 // Photon records radiance per geometric side (front = the side the patch
 // normal points at), so two-sided surfaces such as the floating mirror keep
 // the two hemispheres of exitant light separate.
+//
+// The forest holds the split policy once for all its trees and passes it to
+// each record; a fresh forest is one allocation, the tree array, since an
+// unsplit tree keeps its root inline (BinTree).
 #pragma once
 
 #include <cstdint>
@@ -25,10 +29,16 @@ class BinForest {
   std::size_t patch_count() const { return trees_.size() / 2; }
   std::size_t tree_count() const { return trees_.size(); }
 
-  // Gives every tree `policy`. A loaded tree keeps only z and min_count (the
-  // BinTree record), so a run that adopts a loaded forest sets its own
-  // policy on it, as a fresh forest would have it.
-  void set_policy(const SplitPolicy& policy);
+  // Bytes memory_bytes() reports for a fresh forest of `n_patches`
+  // patches, computed without building one.
+  static std::uint64_t virgin_bytes(std::size_t n_patches);
+
+  // The split policy every tree records under. A loaded forest takes z and
+  // min_count from its records (the rest are defaults), so a run that adopts
+  // a loaded forest sets its own policy on it, as a fresh forest would have
+  // it.
+  const SplitPolicy& policy() const { return policy_; }
+  void set_policy(const SplitPolicy& policy) { policy_ = policy; }
 
   static int tree_index(int patch, bool front) { return 2 * patch + (front ? 0 : 1); }
 
@@ -41,7 +51,7 @@ class BinForest {
 
   // Records one reflected (or emitted) photon.
   void record(int patch, bool front, const BinCoords& c, int channel) {
-    tree(patch, front).record(c, channel);
+    tree(patch, front).record(c, channel, policy_);
   }
 
   // Emission bookkeeping: total photons launched per channel and the total
@@ -73,7 +83,8 @@ class BinForest {
   // [emission counts][total power][each BinTree record]. save appends the
   // file's bytes to `out`, reserving serialized_bytes() once; load parses
   // them from [p, end), advancing `p`, and returns the empty forest
-  // (tree_count() == 0) for anything malformed.
+  // (tree_count() == 0) for anything malformed, including records that
+  // disagree on z or min_count.
   std::size_t serialized_bytes() const;
   void save(Bytes& out) const;
   static BinForest load(const std::uint8_t*& p, const std::uint8_t* end);
@@ -87,8 +98,9 @@ class BinForest {
 
   // Binary tree transport for the distributed gather: appends one framed tree
   // ([int32 idx][BinTree bytes]) to `out`, and replaces every framed tree
-  // found in `buf`. Frames with an out-of-range index are rejected
-  // (std::runtime_error), as are truncated buffers.
+  // found in `buf`. Frames with an out-of-range index or a z or min_count
+  // other than this forest's are rejected (std::runtime_error), as are
+  // truncated buffers.
   void append_framed_tree(Bytes& out, int idx) const;
   void replace_framed_trees(const Bytes& buf);
 
@@ -98,24 +110,16 @@ class BinForest {
   //
   // Frames this rank's owned trees for the gather to rank 0:
   Bytes pack_owned_trees(const std::vector<int>& owner, int rank) const;
-  // Folds `other`'s owned trees into this forest's (tally-conserving
-  // BinTree::merge; a virgin tree adopts the source wholesale) — the
-  // checkpoint-resume fold into a fresh partition:
-  void merge_owned_trees(const BinForest& other, const std::vector<int>& owner, int rank);
-
-  // Whole-forest additive fold: every tree is merged (BinTree::merge —
-  // tally-conserving), emission counts add, and the total power is adopted
-  // from `other` when unset here. Tree counts must match. Note the
-  // distributed backends' resume path is merge_owned_trees above (each rank
-  // folds only its owned trees; emission totals travel separately through the
-  // gather's allreduce) — this full fold is for single-forest consumers
-  // combining independent answer files.
-  void merge(const BinForest& other);
+  // Copies `other`'s owned trees over this forest's — the checkpoint-resume
+  // step into a fresh partition. Throws std::invalid_argument when the tree
+  // counts differ.
+  void copy_owned_trees(const BinForest& other, const std::vector<int>& owner, int rank);
 
   bool operator==(const BinForest& other) const;
 
  private:
   std::vector<BinTree> trees_;
+  SplitPolicy policy_;
   ChannelCounts emitted_{};
   Rgb total_power_;
 };

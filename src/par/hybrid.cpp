@@ -68,8 +68,8 @@ RunResult run_hybrid(const Scene& scene, const RunConfig& config, const RunResul
   const std::uint64_t first_photon = resume ? resume->counters.emitted : 0;
   const std::uint64_t last_photon = first_photon + config.photons;
   // One group adopts a resumed forest by copy, emission totals included,
-  // under the run's split policy; partitioned groups fold its owned trees
-  // into virgin partitions, and the gather adds its emission totals once.
+  // under the run's split policy; partitioned groups copy its owned trees
+  // into fresh partitions, and the gather adds its emission totals once.
   const bool adopt = resume && G == 1;
 
   RunResult result;
@@ -97,7 +97,7 @@ RunResult run_hybrid(const Scene& scene, const RunConfig& config, const RunResul
     BinForest forest =
         adopt ? resume->forest : BinForest(scene.patch_count(), config.policy);
     if (adopt) forest.set_policy(config.policy);
-    if (resume && !adopt) forest.merge_owned_trees(resume->forest, balance.owner, rank);
+    if (resume && !adopt) forest.copy_owned_trees(resume->forest, balance.owner, rank);
     const Emitter emitter(scene);
     forest.set_total_power(emitter.total_power());
     const Tracer tracer(scene, config.limits);

@@ -262,9 +262,8 @@ RunResult run_spatial(const Scene& scene, const RunConfig& config, const RunResu
     const Emitter emitter(scene);
     forest.set_total_power(emitter.total_power());
     if (resume) {
-      // Fold the checkpoint's owned trees into this rank's virgin partition
-      // (lossless — virgin trees adopt the checkpoint structure wholesale).
-      forest.merge_owned_trees(resume->forest, tree_owner, rank);
+      // This rank's partition starts from the checkpoint's owned trees.
+      forest.copy_owned_trees(resume->forest, tree_owner, rank);
     }
     const Tracer tracer(scene, config.limits);
 

@@ -57,7 +57,8 @@ struct PhotonService::Impl {
   mutable std::mutex m;
   std::condition_variable cv;       // executors wait for work / admission here
   std::condition_variable done_cv;  // wait() parks here
-  std::map<std::uint64_t, std::unique_ptr<Job>> jobs;
+  std::map<std::uint64_t, std::unique_ptr<Job>> jobs;  // queued and running
+  std::map<std::uint64_t, JobInfo> finished;          // terminal: the info alone
   std::deque<std::uint64_t> pending;  // FIFO submission order
   std::uint64_t next_id = 1;
   std::uint64_t reserved_bytes = 0;  // admitted-but-unfinished estimates
@@ -88,27 +89,37 @@ struct PhotonService::Impl {
     return scene;
   }
 
+  // Caller holds `m`. Moves the job's info, now terminal, to `finished` and
+  // destroys the Job (its spec and control): a finished job keeps only its
+  // JobInfo. `job` is dangling on return.
   void finish(Job& job, JobState state, const std::string& error) {
     job.info.state = state;
     job.info.error = error;
+    const std::uint64_t id = job.info.id;
+    finished.emplace(id, std::move(job.info));
+    jobs.erase(id);
     done_cv.notify_all();
     // Admission capacity freed: wake executors parked on the budget.
     cv.notify_all();
   }
 
   void run_job(Job& job, const std::shared_ptr<const Scene>& scene) {
-    RunConfig cfg = job.spec.config;
-    cfg.governed = true;
-    cfg.control = job.control;
-    cfg.watchdog_s = config.watchdog_s;
-    cfg.watchdog_grace_s = config.watchdog_grace_s;
-    cfg.watchdog_exit = false;  // a wedged job must never _Exit the service
-    if (!job.spec.checkpoint_path.empty()) {
-      cfg.emergency_checkpoint_path = job.spec.checkpoint_path;
+    RunResult result;
+    {
+      // The run's copy of the spec's config ends with this scope, before
+      // finish() can report the job terminal.
+      RunConfig cfg = job.spec.config;
+      cfg.governed = true;
+      cfg.control = job.control;
+      cfg.watchdog_s = config.watchdog_s;
+      cfg.watchdog_grace_s = config.watchdog_grace_s;
+      cfg.watchdog_exit = false;  // a wedged job must never _Exit the service
+      if (!job.spec.checkpoint_path.empty()) {
+        cfg.emergency_checkpoint_path = job.spec.checkpoint_path;
+      }
+      const std::unique_ptr<Backend> backend = make_backend(job.spec.backend);
+      result = run_elastic(*backend, *scene, cfg, nullptr);
     }
-
-    const std::unique_ptr<Backend> backend = make_backend(job.spec.backend);
-    RunResult result = run_elastic(*backend, *scene, cfg, nullptr);
 
     // Atomic tmp+rename save: a kill mid-write leaves any previous
     // checkpoint at the path loadable. Done before taking the lock — the
@@ -252,9 +263,8 @@ std::uint64_t PhotonService::submit(const JobSpec& spec) {
 bool PhotonService::cancel(std::uint64_t id) {
   std::lock_guard<std::mutex> lock(impl_->m);
   auto it = impl_->jobs.find(id);
-  if (it == impl_->jobs.end()) return false;
+  if (it == impl_->jobs.end()) return false;  // unknown or finished
   Job& job = *it->second;
-  if (job_state_terminal(job.info.state)) return false;
   job.cancel_requested = true;
   // Still in the pending deque: no executor holds it, so nothing will look
   // at cancel_requested until one frees up — finish it here instead of
@@ -276,30 +286,31 @@ bool PhotonService::cancel(std::uint64_t id) {
 
 JobInfo PhotonService::status(std::uint64_t id) const {
   std::lock_guard<std::mutex> lock(impl_->m);
-  auto it = impl_->jobs.find(id);
-  if (it == impl_->jobs.end()) {
-    throw ConfigError("unknown job " + std::to_string(id));
-  }
-  return it->second->info;
+  if (auto it = impl_->jobs.find(id); it != impl_->jobs.end()) return it->second->info;
+  if (auto it = impl_->finished.find(id); it != impl_->finished.end()) return it->second;
+  throw ConfigError("unknown job " + std::to_string(id));
 }
 
 std::vector<JobInfo> PhotonService::jobs() const {
   std::lock_guard<std::mutex> lock(impl_->m);
   std::vector<JobInfo> out;
-  out.reserve(impl_->jobs.size());
+  out.reserve(impl_->jobs.size() + impl_->finished.size());
   for (const auto& [id, job] : impl_->jobs) out.push_back(job->info);
+  for (const auto& [id, info] : impl_->finished) out.push_back(info);
+  // Both tables are in id order; merge them into one.
+  std::inplace_merge(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(impl_->jobs.size()),
+                     out.end(), [](const JobInfo& a, const JobInfo& b) { return a.id < b.id; });
   return out;
 }
 
 JobInfo PhotonService::wait(std::uint64_t id) {
   std::unique_lock<std::mutex> lock(impl_->m);
-  auto it = impl_->jobs.find(id);
-  if (it == impl_->jobs.end()) {
+  if (impl_->jobs.count(id) == 0 && impl_->finished.count(id) == 0) {
     throw ConfigError("unknown job " + std::to_string(id));
   }
-  Job& job = *it->second;
-  impl_->done_cv.wait(lock, [&] { return job_state_terminal(job.info.state); });
-  return job.info;
+  // finish() destroys the Job, so each wake looks the id up again.
+  impl_->done_cv.wait(lock, [&] { return impl_->finished.count(id) != 0; });
+  return impl_->finished.at(id);
 }
 
 void PhotonService::shutdown() {
@@ -309,9 +320,7 @@ void PhotonService::shutdown() {
     impl_->stopping = true;
     // Fan preemption out per job: each active run stops at its next window
     // boundary with a resumable partial result.
-    for (auto& [id, job] : impl_->jobs) {
-      if (!job_state_terminal(job->info.state)) job->control->request_preempt();
-    }
+    for (auto& [id, job] : impl_->jobs) job->control->request_preempt();
     impl_->cv.notify_all();
     joinable.swap(impl_->executors);
   }

@@ -1,13 +1,8 @@
 #include "sim/checkpoint.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstring>
-#include <istream>
-#include <ostream>
-
-#include "core/bytes.hpp"
 
 namespace photon {
 
@@ -51,22 +46,6 @@ std::uint64_t xxh_round(std::uint64_t acc, std::uint64_t lane) {
 
 std::uint64_t xxh_merge(std::uint64_t h, std::uint64_t acc) {
   return (h ^ xxh_round(0, acc)) * kPrime1 + kPrime4;
-}
-
-Bytes encode_checkpoint(const RunResult& result) {
-  const std::size_t payload = kCounterBytes + result.forest.serialized_bytes();
-  Bytes out;
-  out.reserve(kHeaderBytes + payload + kChecksumBytes);
-  put_raw(out, kCheckpointMagic);
-  put_raw<std::uint64_t>(out, payload);
-  for (const std::uint64_t v :
-       {result.counters.emitted, result.counters.bounces, result.counters.absorbed,
-        result.counters.escaped, result.counters.terminated}) {
-    put_raw(out, v);
-  }
-  result.forest.save(out);
-  put_raw(out, xxh64(out.data() + kHeaderBytes, payload));
-  return out;
 }
 
 CheckpointStatus decode_header(const std::uint8_t*& p, const std::uint8_t* end,
@@ -140,10 +119,19 @@ std::uint64_t xxh64(const void* data, std::size_t n) {
   return h;
 }
 
-void save_checkpoint(const RunResult& result, std::ostream& out) {
-  const Bytes bytes = encode_checkpoint(result);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
+Bytes encode_checkpoint(const RunResult& result) {
+  const std::size_t payload = kCounterBytes + result.forest.serialized_bytes();
+  const std::uint64_t head[] = {kCheckpointMagic,          payload,
+                                result.counters.emitted,   result.counters.bounces,
+                                result.counters.absorbed,  result.counters.escaped,
+                                result.counters.terminated};
+  Bytes out;
+  out.reserve(kHeaderBytes + payload + kChecksumBytes);
+  out.resize(sizeof(head));
+  std::memcpy(out.data(), head, sizeof(head));
+  result.forest.save(out);
+  put_raw(out, xxh64(out.data() + kHeaderBytes, payload));
+  return out;
 }
 
 // The previous checkpoint stays loadable through any crash, kill, or
@@ -175,43 +163,17 @@ const char* checkpoint_status_name(CheckpointStatus status) {
   return "unknown";
 }
 
-CheckpointStatus load_checkpoint_status(std::istream& in, RunResult& result) {
-  std::uint8_t header[kHeaderBytes];
-  in.read(reinterpret_cast<char*>(header), kHeaderBytes);
-  const std::uint8_t* p = header;
-  std::uint64_t length = 0;
-  const CheckpointStatus status = decode_header(p, header + in.gcount(), length);
-  if (status != CheckpointStatus::kOk) return status;
-
-  // Read the payload and checksum in bounded chunks: the length field is
-  // untrusted, so a corrupt value must hit the truncation check after at
-  // most one chunk of over-allocation, not commit gigabytes up front. Input
-  // past the checksum stays unread.
-  constexpr std::uint64_t kChunk = 1ULL << 24;  // 16 MiB
-  const std::uint64_t want = length + kChecksumBytes;
-  Bytes body;
-  while (body.size() < want) {
-    const std::size_t off = body.size();
-    const auto take = static_cast<std::size_t>(std::min<std::uint64_t>(kChunk, want - off));
-    body.resize(off + take);
-    in.read(reinterpret_cast<char*>(body.data() + off), static_cast<std::streamsize>(take));
-    if (static_cast<std::size_t>(in.gcount()) != take) return CheckpointStatus::kTruncated;
-  }
-  return decode_body(body.data(), body.data() + body.size(), length, result);
-}
-
-CheckpointStatus load_checkpoint_status(const std::string& path, RunResult& result) {
-  Bytes bytes;
-  if (!read_file(path, bytes)) return CheckpointStatus::kOpenFailed;
-  const std::uint8_t* p = bytes.data();
-  const std::uint8_t* const end = p + bytes.size();
+CheckpointStatus decode_checkpoint(const std::uint8_t* p, const std::uint8_t* end,
+                                   RunResult& result) {
   std::uint64_t length = 0;
   const CheckpointStatus status = decode_header(p, end, length);
   return status == CheckpointStatus::kOk ? decode_body(p, end, length, result) : status;
 }
 
-bool load_checkpoint(std::istream& in, RunResult& result) {
-  return load_checkpoint_status(in, result) == CheckpointStatus::kOk;
+CheckpointStatus load_checkpoint_status(const std::string& path, RunResult& result) {
+  Bytes bytes;
+  if (!read_file(path, bytes)) return CheckpointStatus::kOpenFailed;
+  return decode_checkpoint(bytes.data(), bytes.data() + bytes.size(), result);
 }
 
 bool load_checkpoint(const std::string& path, RunResult& result) {

@@ -21,9 +21,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 
+#include "core/bytes.hpp"
 #include "sim/simulator.hpp"
 
 namespace photon {
@@ -48,17 +48,20 @@ const char* checkpoint_status_name(CheckpointStatus status);
 // The payload checksum: XXH64 with seed 0.
 std::uint64_t xxh64(const void* data, std::size_t n);
 
-void save_checkpoint(const RunResult& result, std::ostream& out);
+// The bytes of a whole checkpoint file, encoded into one buffer.
+Bytes encode_checkpoint(const RunResult& result);
 // Atomic replace: writes <path>.tmp, fsyncs it, and renames it over `path`.
 bool save_checkpoint(const RunResult& result, const std::string& path);
 
-// Returns the first failed check (leaving `result` unspecified on failure);
-// never throws, never partially adopts state.
-CheckpointStatus load_checkpoint_status(std::istream& in, RunResult& result);
+// Decode a checkpoint from the bytes of a whole file, [p, end) (bytes past
+// the checksum are ignored), or from a path. Returns the first failed check
+// (leaving `result` unspecified on failure); never throws, never partially
+// adopts state.
+CheckpointStatus decode_checkpoint(const std::uint8_t* p, const std::uint8_t* end,
+                                   RunResult& result);
 CheckpointStatus load_checkpoint_status(const std::string& path, RunResult& result);
 
-// Convenience wrappers: true iff the status is kOk.
-bool load_checkpoint(std::istream& in, RunResult& result);
+// Convenience wrapper: true iff the status is kOk.
 bool load_checkpoint(const std::string& path, RunResult& result);
 
 }  // namespace photon

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <stdexcept>
 
 #include "core/rng.hpp"
 #include "core/sampling.hpp"
+#include "geom/scenes.hpp"
+#include "sim/checkpoint.hpp"
+#include "sim/simulator.hpp"
 
 namespace photon {
 namespace {
@@ -111,6 +115,14 @@ TEST(BinForest, RadianceScalesWithPower) {
   EXPECT_NEAR(f2.radiance(0, true, q, 0, 1.0), 3.0 * f1.radiance(0, true, q, 0, 1.0), 1e-9);
 }
 
+TEST(BinForest, FreshForestMakesNoPerTreeAllocation) {
+  // An unsplit tree keeps its root inline: a fresh forest is the tree array
+  // and nothing else.
+  const BinForest f(1000);
+  EXPECT_EQ(f.memory_bytes(), sizeof(BinForest) + f.tree_count() * sizeof(BinTree));
+  EXPECT_EQ(f.memory_bytes(), BinForest::virgin_bytes(1000));
+}
+
 TEST(BinForest, MemoryAccounting) {
   BinForest f(5);
   const std::uint64_t empty = f.memory_bytes();
@@ -185,10 +197,106 @@ TEST(BinForest, LoadRejectsGarbage) {
   }
 }
 
+// The byte offset of tree record `k` in the answer file `bytes` of `f`.
+std::size_t record_offset(const BinForest& f, const Bytes& bytes, int k) {
+  std::size_t records = 0;
+  for (std::size_t t = 0; t < f.tree_count(); ++t) {
+    records += f.tree_at(static_cast<int>(t)).serialized_bytes();
+  }
+  std::size_t at = bytes.size() - records;
+  for (int t = 0; t < k; ++t) at += f.tree_at(t).serialized_bytes();
+  return at;
+}
+
+TEST(BinForest, LoadTakesThePolicyFromRecordsThatAgree) {
+  SplitPolicy policy;
+  policy.z = 2.5;
+  policy.min_count = 40;
+  policy.max_leaf_count = 64;
+  BinForest f(3, policy);
+  f.record(1, true, coords(0.5, 0.5, 0.5, 1), 0);
+  Bytes valid;
+  f.save(valid);
+  const std::uint8_t* p = valid.data();
+  const BinForest loaded = BinForest::load(p, p + valid.size());
+  ASSERT_EQ(loaded.tree_count(), f.tree_count());
+  EXPECT_EQ(loaded.policy().z, 2.5);
+  EXPECT_EQ(loaded.policy().min_count, 40u);
+  EXPECT_EQ(loaded.policy().max_leaf_count, SplitPolicy{}.max_leaf_count);
+
+  // One record with another z, or another min_count, makes the file
+  // malformed. Record k's header is [node count][z][min_count].
+  for (int k = 0; k < static_cast<int>(f.tree_count()); ++k) {
+    Bytes bad_z = valid;
+    const double z = 3.0;
+    std::memcpy(bad_z.data() + record_offset(f, valid, k) + 8, &z, sizeof(z));
+    p = bad_z.data();
+    EXPECT_EQ(BinForest::load(p, p + bad_z.size()).tree_count(), 0u) << "record " << k;
+
+    Bytes bad_min = valid;
+    const std::uint64_t min_count = 41;
+    std::memcpy(bad_min.data() + record_offset(f, valid, k) + 16, &min_count, sizeof(min_count));
+    p = bad_min.data();
+    EXPECT_EQ(BinForest::load(p, p + bad_min.size()).tree_count(), 0u) << "record " << k;
+  }
+}
+
+// The answer file's bytes, pinned: the XXH64 of `photon_cli simulate cornell
+// --photons=200000 --seed=7` (serial), recorded when tree nodes still stored
+// their regions in memory. Any change to the record layout, the field order
+// or a single tally moves it.
+TEST(BinForestFormat, SerialCornellAnswerFileIsPinned) {
+  RunConfig cfg;
+  cfg.photons = 200000;
+  cfg.seed = 7;
+  const RunResult r = run_serial(scenes::cornell_box(), cfg);
+  Bytes bytes;
+  r.forest.save(bytes);
+  EXPECT_EQ(bytes.size(), 56832u);
+  EXPECT_EQ(xxh64(bytes.data(), bytes.size()), 0xC7AC9FDD147A3CB5ULL);
+}
+
+// save -> load -> save is byte-identical and load gives an equal forest, on
+// the bundled scenes' populated forests with trees split to depth 8 and more.
+TEST(BinForestFormat, SceneForestsRoundTripByteForByte) {
+  SplitPolicy fine;
+  fine.max_leaf_count = 32;
+  fine.count_growth = 1.0;
+  const struct {
+    const char* name;
+    Scene scene;
+    std::uint64_t photons;
+  } cells[] = {{"cornell", scenes::cornell_box(), 60000},
+               {"harpsichord", scenes::harpsichord_room(), 40000},
+               {"lab", scenes::computer_lab(), 60000}};
+  for (const auto& cell : cells) {
+    RunConfig cfg;
+    cfg.photons = cell.photons;
+    cfg.seed = 7;
+    cfg.policy = fine;
+    const RunResult r = run_serial(cell.scene, cfg);
+    int max_depth = 0;
+    for (std::size_t t = 0; t < r.forest.tree_count(); ++t) {
+      max_depth = std::max(max_depth, r.forest.tree_at(static_cast<int>(t)).depth());
+    }
+    EXPECT_GE(max_depth, 8) << cell.name;
+
+    Bytes first;
+    r.forest.save(first);
+    const std::uint8_t* p = first.data();
+    const BinForest loaded = BinForest::load(p, p + first.size());
+    ASSERT_EQ(loaded.tree_count(), r.forest.tree_count()) << cell.name;
+    EXPECT_TRUE(loaded == r.forest) << cell.name;
+    Bytes second;
+    loaded.save(second);
+    EXPECT_TRUE(second == first) << cell.name;
+  }
+}
+
 TEST(BinForest, ReplaceTree) {
   BinForest f(2);
   BinTree replacement;
-  replacement.record(coords(0.5, 0.5, 0.5, 1), 2);
+  replacement.record(coords(0.5, 0.5, 0.5, 1), 2, f.policy());
   f.replace_tree(BinForest::tree_index(1, true), std::move(replacement));
   EXPECT_EQ(f.tree(1, true).total_tally(2), 1u);
 }
@@ -205,61 +313,32 @@ void populate(BinForest& f, Lcg48& rng, int n) {
   }
 }
 
-TEST(BinForestMerge, ConservesEveryTallyAndEmission) {
-  // The distributed-resume primitive: folding B into A must conserve every
-  // channel's total tally and emission count exactly — no photon gained or
-  // lost, whatever the two tree structures look like.
-  Lcg48 rng(99);
-  for (int trial = 0; trial < 5; ++trial) {
-    BinForest a(5), b(5);
-    populate(a, rng, 4000);
-    populate(b, rng, 2500);
+TEST(BinForestMerge, IntoVirginForestIsLossless) {
+  // The checkpoint-resume step into a fresh partition: each rank copies the
+  // checkpoint's trees for the patches it owns, refined structure and all,
+  // and leaves every other tree fresh.
+  Lcg48 rng(3);
+  SplitPolicy fine;
+  fine.max_leaf_count = 64;
+  BinForest checkpoint(4, fine);
+  populate(checkpoint, rng, 6000);
+  const std::vector<int> owner{0, 1, 1, 0};
 
-    std::array<std::uint64_t, 3> expect_tally{}, expect_emitted{};
-    for (int c = 0; c < 3; ++c) {
-      expect_tally[static_cast<std::size_t>(c)] = a.total_tally(c) + b.total_tally(c);
-      expect_emitted[static_cast<std::size_t>(c)] = a.emitted(c) + b.emitted(c);
-    }
-    a.merge(b);
-    for (int c = 0; c < 3; ++c) {
-      EXPECT_EQ(a.total_tally(c), expect_tally[static_cast<std::size_t>(c)])
-          << "trial " << trial << " channel " << c;
-      EXPECT_EQ(a.emitted(c), expect_emitted[static_cast<std::size_t>(c)])
-          << "trial " << trial << " channel " << c;
+  BinForest part(4);
+  part.copy_owned_trees(checkpoint, owner, 1);
+  BinForest whole(4);
+  for (const int rank : {0, 1}) whole.copy_owned_trees(checkpoint, owner, rank);
+  for (int t = 0; t < static_cast<int>(checkpoint.tree_count()); ++t) {
+    EXPECT_TRUE(whole.tree_at(t) == checkpoint.tree_at(t)) << "tree " << t;
+    if (owner[static_cast<std::size_t>(t / 2)] == 1) {
+      EXPECT_TRUE(part.tree_at(t) == checkpoint.tree_at(t)) << "tree " << t;
+    } else {
+      EXPECT_TRUE(part.tree_at(t) == BinTree{}) << "tree " << t;
     }
   }
-}
+  ASSERT_GT(checkpoint.total_nodes(), checkpoint.tree_count());
 
-TEST(BinForestMerge, IntoVirginForestIsLossless) {
-  // Folding a checkpoint into a fresh partitioned forest must preserve the
-  // refined structure exactly, not collapse it to root bins.
-  Lcg48 rng(3);
-  BinForest checkpoint(4);
-  populate(checkpoint, rng, 6000);
-  checkpoint.set_total_power({2, 2, 2});
-
-  BinForest fresh(4);
-  fresh.merge(checkpoint);
-  EXPECT_TRUE(fresh == checkpoint);
-  EXPECT_EQ(fresh.total_power().r, 2.0);
-}
-
-TEST(BinForestMerge, MergedTreeKeepsRefining) {
-  // After a merge the speculative split counters carry the combined evidence:
-  // recording into the merged tree must still be able to split leaves.
-  Lcg48 rng(11);
-  BinForest a(1), b(1);
-  populate(a, rng, 500);
-  populate(b, rng, 500);
-  a.merge(b);
-  const std::uint64_t nodes_before = a.total_nodes();
-  populate(a, rng, 4000);
-  EXPECT_GT(a.total_nodes(), nodes_before);
-}
-
-TEST(BinForestMerge, RejectsMismatchedForests) {
-  BinForest a(2), b(3);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
+  EXPECT_THROW(part.copy_owned_trees(BinForest(3), owner, 0), std::invalid_argument);
 }
 
 TEST(BinForest, FramedTreeRoundTrip) {
@@ -295,6 +374,15 @@ TEST(BinForest, FramedTreeRejectsCorruptBuffers) {
   const std::int32_t idx = 99;
   std::memcpy(bad_index.data(), &idx, sizeof(idx));
   EXPECT_THROW(f.replace_framed_trees(bad_index), std::runtime_error);
+
+  // A frame recorded under another z or min_count is not one of this
+  // forest's trees.
+  SplitPolicy other;
+  other.z = 2.5;
+  BinForest g(2, other);
+  Bytes foreign;
+  g.append_framed_tree(foreign, 1);
+  EXPECT_THROW(f.replace_framed_trees(foreign), std::runtime_error);
 }
 
 }  // namespace

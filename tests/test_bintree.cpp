@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
 
 #include "core/rng.hpp"
 #include "core/sampling.hpp"
 
 namespace photon {
 namespace {
+
+const SplitPolicy kPolicy{};
 
 BinCoords coords(double s, double t, double u, double theta) {
   BinCoords c;
@@ -90,9 +94,9 @@ TEST(BinTree, StartsAsSingleLeaf) {
 
 TEST(BinTree, RecordTallies) {
   BinTree tree;
-  tree.record(coords(0.5, 0.5, 0.5, 1.0), 0);
-  tree.record(coords(0.5, 0.5, 0.5, 1.0), 0);
-  tree.record(coords(0.5, 0.5, 0.5, 1.0), 2);
+  tree.record(coords(0.5, 0.5, 0.5, 1.0), 0, kPolicy);
+  tree.record(coords(0.5, 0.5, 0.5, 1.0), 0, kPolicy);
+  tree.record(coords(0.5, 0.5, 0.5, 1.0), 2, kPolicy);
   EXPECT_EQ(tree.total_tally(0), 2u);
   EXPECT_EQ(tree.total_tally(1), 0u);
   EXPECT_EQ(tree.total_tally(2), 1u);
@@ -102,7 +106,7 @@ TEST(BinTree, UniformInputSplitsOnlyByCount) {
   BinTree tree;
   Lcg48 rng(1);
   for (int i = 0; i < 5000; ++i) {
-    tree.record(coords(rng.uniform(), rng.uniform(), rng.uniform(), rng.uniform() * kTwoPi), 0);
+    tree.record(coords(rng.uniform(), rng.uniform(), rng.uniform(), rng.uniform() * kTwoPi), 0, kPolicy);
   }
   // No significant gradient anywhere: only the count-driven refinement rule
   // may split (once at the root for 5000 photons with the default 1024
@@ -129,7 +133,7 @@ TEST(BinTree, StepInSCausesSplitOnS) {
   for (int i = 0; i < 500; ++i) {
     tree.record(coords(rng.uniform() * 0.5, rng.uniform(), rng.uniform(),
                        rng.uniform() * kTwoPi),
-                0);
+                0, kPolicy);
   }
   EXPECT_GT(tree.node_count(), 1u);
   EXPECT_EQ(tree.node(0).axis, static_cast<std::int8_t>(BinAxis::kS));
@@ -141,7 +145,7 @@ TEST(BinTree, StepInThetaSplitsOnTheta) {
   for (int i = 0; i < 500; ++i) {
     tree.record(coords(rng.uniform(), rng.uniform(), rng.uniform(),
                        kTwoPi / 2.0 + rng.uniform() * kTwoPi / 2.0),
-                0);
+                0, kPolicy);
   }
   EXPECT_EQ(tree.node(0).axis, static_cast<std::int8_t>(BinAxis::kTheta));
 }
@@ -153,7 +157,7 @@ TEST(BinTree, SplitRedistributesTallies) {
   for (int i = 0; i < n; ++i) {
     // 80/20 split in t.
     const double t = rng.uniform() < 0.8 ? rng.uniform() * 0.5 : 0.5 + rng.uniform() * 0.5;
-    tree.record(coords(rng.uniform(), t, rng.uniform(), rng.uniform() * kTwoPi), 0);
+    tree.record(coords(rng.uniform(), t, rng.uniform(), rng.uniform() * kTwoPi), 0, kPolicy);
   }
   // Total conserved across all splits (up to rounding: one photon per split).
   const std::uint64_t total = tree.total_tally(0);
@@ -168,7 +172,7 @@ TEST(BinTree, ConservationIsExactPerChannel) {
     const int ch = static_cast<int>(rng.uniform_int(3));
     ++pushed[ch];
     const double s = rng.uniform() < 0.9 ? rng.uniform() * 0.3 : rng.uniform();
-    tree.record(coords(s, rng.uniform(), rng.uniform(), rng.uniform() * kTwoPi), ch);
+    tree.record(coords(s, rng.uniform(), rng.uniform(), rng.uniform() * kTwoPi), ch, kPolicy);
   }
   for (int ch = 0; ch < 3; ++ch) {
     // Proportional redistribution rounds; allow one photon per split event.
@@ -184,7 +188,7 @@ TEST(BinTree, FindLeafDescendsCorrectly) {
   for (int i = 0; i < 2000; ++i) {
     tree.record(coords(rng.uniform() * 0.5, rng.uniform(), rng.uniform(),
                        rng.uniform() * kTwoPi),
-                0);
+                0, kPolicy);
   }
   ASSERT_GT(tree.node_count(), 1u);
   // Leaf found must contain the query point.
@@ -192,7 +196,7 @@ TEST(BinTree, FindLeafDescendsCorrectly) {
     const BinCoords c =
         coords(rng.uniform(), rng.uniform(), rng.uniform(), rng.uniform() * kTwoPi);
     const int leaf = tree.find_leaf(c);
-    EXPECT_TRUE(tree.node(leaf).region.contains(c));
+    EXPECT_TRUE(tree.regions()[static_cast<std::size_t>(leaf)].contains(c));
     EXPECT_TRUE(tree.node(leaf).is_leaf());
   }
 }
@@ -205,7 +209,7 @@ TEST(BinTree, LambertianDirectionsDoNotSplitAngularAxes) {
   for (int i = 0; i < 4000; ++i) {
     const Vec3 d = sample_hemisphere_rejection(rng);
     // Position concentrated in one corner to force positional splits.
-    tree.record(BinCoords::from_local_dir(rng.uniform() * 0.25, rng.uniform() * 0.25, d), 0);
+    tree.record(BinCoords::from_local_dir(rng.uniform() * 0.25, rng.uniform() * 0.25, d), 0, kPolicy);
   }
   int angular_splits = 0, positional_splits = 0;
   for (std::size_t i = 0; i < tree.node_count(); ++i) {
@@ -227,7 +231,7 @@ TEST(BinTree, CollimatedDirectionsSplitAngularAxes) {
   Lcg48 rng(8);
   for (int i = 0; i < 4000; ++i) {
     const Vec3 d = sample_hemisphere_rejection(rng, 0.15);  // tight cone
-    tree.record(BinCoords::from_local_dir(rng.uniform(), rng.uniform(), d), 0);
+    tree.record(BinCoords::from_local_dir(rng.uniform(), rng.uniform(), d), 0, kPolicy);
   }
   int u_splits = 0;
   for (std::size_t i = 0; i < tree.node_count(); ++i) {
@@ -238,12 +242,12 @@ TEST(BinTree, CollimatedDirectionsSplitAngularAxes) {
 }
 
 TEST(BinTree, RespectsMaxNodes) {
-  BinTree tree(SplitPolicy{}, /*max_nodes=*/5);
+  BinTree tree;
   Lcg48 rng(9);
   for (int i = 0; i < 20000; ++i) {
     tree.record(coords(rng.uniform() * 0.1, rng.uniform() * 0.1, rng.uniform() * 0.1,
                        rng.uniform() * 0.1),
-                0);
+                0, kPolicy, /*max_nodes=*/5);
   }
   EXPECT_LE(tree.node_count(), 5u);
 }
@@ -254,7 +258,7 @@ TEST(BinTree, MemoryGrowsWithNodes) {
   for (int i = 0; i < 4000; ++i) {
     large.record(coords(rng.uniform() < 0.9 ? 0.1 : 0.9, rng.uniform(), rng.uniform(),
                         rng.uniform() * kTwoPi),
-                 0);
+                 0, kPolicy);
   }
   EXPECT_GT(large.memory_bytes(), small.memory_bytes());
 }
@@ -265,17 +269,81 @@ TEST(BinTree, SerializationRoundTrip) {
   for (int i = 0; i < 3000; ++i) {
     tree.record(coords(rng.uniform() * 0.4, rng.uniform(), rng.uniform(),
                        rng.uniform() * kTwoPi),
-                static_cast<int>(rng.uniform_int(3)));
+                static_cast<int>(rng.uniform_int(3)), kPolicy);
   }
   Bytes buf;
-  tree.save(buf);
+  tree.save(buf, kPolicy);
   EXPECT_EQ(buf.size(), tree.serialized_bytes());
   const std::uint8_t* p = buf.data();
-  const BinTree loaded = BinTree::load(p, p + buf.size());
+  SplitPolicy stored;
+  stored.z = 0.0;
+  stored.min_count = 0;
+  const BinTree loaded = BinTree::load(p, p + buf.size(), stored);
   EXPECT_EQ(p, buf.data() + buf.size());
+  EXPECT_EQ(stored.z, kPolicy.z);
+  EXPECT_EQ(stored.min_count, kPolicy.min_count);
   EXPECT_TRUE(tree == loaded);
   EXPECT_EQ(tree.node_count(), loaded.node_count());
   EXPECT_EQ(tree.total_tally(1), loaded.total_tally(1));
+}
+
+TEST(BinTree, LoadRejectsARegionTheSplitsDoNotGive) {
+  // A record stores its node's region, which the loader derives again from
+  // the root's full region and the splits above the node. Nudging any float
+  // of any stored region by one ulp makes the record malformed.
+  BinTree tree;
+  Lcg48 rng(13);
+  for (int i = 0; i < 3000; ++i) {
+    tree.record(coords(rng.uniform() * 0.3, rng.uniform(), rng.uniform(), rng.uniform() * kTwoPi),
+                0, kPolicy);
+  }
+  ASSERT_GE(tree.depth(), 2);
+  Bytes valid;
+  tree.save(valid, kPolicy);
+  SplitPolicy stored;
+  for (std::size_t i = 0; i < tree.node_count(); ++i) {
+    for (std::size_t f = 0; f < 2 * kBinDims; ++f) {
+      Bytes bad = valid;
+      const std::size_t at =
+          BinTree::kSerializedHeaderBytes + i * BinTree::kSerializedNodeBytes + f * sizeof(float);
+      std::uint32_t bits = 0;
+      std::memcpy(&bits, bad.data() + at, sizeof(bits));
+      bits ^= 1u;
+      std::memcpy(bad.data() + at, &bits, sizeof(bits));
+      const std::uint8_t* p = bad.data();
+      EXPECT_THROW(BinTree::load(p, p + bad.size(), stored), std::runtime_error)
+          << "node " << i << " float " << f;
+    }
+  }
+  const std::uint8_t* p = valid.data();
+  EXPECT_TRUE(BinTree::load(p, p + valid.size(), stored) == tree);
+}
+
+TEST(BinTree, UnsplitTreeIsFiftySixBytesAndAllocatesNothing) {
+  // The root inline (a 44-byte node), the overflow's size and one pointer.
+  EXPECT_LE(sizeof(BinNode), 44u);
+  EXPECT_LE(sizeof(BinTree), 56u);
+  EXPECT_EQ(BinTree{}.memory_bytes(), sizeof(BinTree));
+}
+
+TEST(BinTree, CopiesAreDeepAndMovesLeaveAFreshTree) {
+  BinTree tree;
+  Lcg48 rng(14);
+  for (int i = 0; i < 3000; ++i) {
+    tree.record(coords(rng.uniform() * 0.3, rng.uniform(), rng.uniform(), rng.uniform() * kTwoPi),
+                0, kPolicy);
+  }
+  ASSERT_GT(tree.node_count(), 3u);
+  BinTree copy = tree;
+  EXPECT_TRUE(copy == tree);
+  copy.record(coords(0.1, 0.5, 0.5, 1.0), 1, kPolicy);
+  EXPECT_EQ(copy.total_tally(1), tree.total_tally(1) + 1);
+
+  BinTree moved = std::move(copy);
+  EXPECT_EQ(moved.total_tally(1), tree.total_tally(1) + 1);
+  EXPECT_TRUE(copy == BinTree{});  // NOLINT(bugprone-use-after-move): documented state
+  copy = tree;
+  EXPECT_TRUE(copy == tree);
 }
 
 TEST(BinTree, DeterministicForSameInput) {
@@ -285,7 +353,7 @@ TEST(BinTree, DeterministicForSameInput) {
     for (int i = 0; i < 2000; ++i) {
       tree.record(coords(rng.uniform() * 0.6, rng.uniform(), rng.uniform(),
                          rng.uniform() * kTwoPi),
-                  0);
+                  0, kPolicy);
     }
     return tree;
   };
@@ -294,7 +362,7 @@ TEST(BinTree, DeterministicForSameInput) {
 
 TEST(BinTree, CountEstimateUsesLeafMeasure) {
   BinTree tree;
-  for (int i = 0; i < 10; ++i) tree.record(coords(0.5, 0.5, 0.5, 1.0), 0);
+  for (int i = 0; i < 10; ++i) tree.record(coords(0.5, 0.5, 0.5, 1.0), 0, kPolicy);
   const BinTree::Estimate est = tree.count_estimate(coords(0.5, 0.5, 0.5, 1.0), 0);
   EXPECT_DOUBLE_EQ(est.count, 10.0);
   EXPECT_NEAR(est.measure, kTwoPi, 1e-5);
@@ -306,8 +374,8 @@ TEST(BinTree, DegenerateZeroPolicyDoesNotExplode) {
   SplitPolicy policy;
   policy.min_count = 0;
   policy.max_leaf_count = 0;
-  BinTree tree(policy);
-  for (int i = 0; i < 100; ++i) tree.record(coords(0.3, 0.6, 0.2, 2.0), 1);
+  BinTree tree;
+  for (int i = 0; i < 100; ++i) tree.record(coords(0.3, 0.6, 0.2, 2.0), 1, policy);
   EXPECT_EQ(tree.total_tally(1), 100u);
   EXPECT_LT(tree.node_count(), 1000u);
 }

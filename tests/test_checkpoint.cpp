@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -50,16 +49,22 @@ TEST(Checkpoint, ManySmallLegsEqualOneBigRun) {
   EXPECT_TRUE(acc.forest == straight.forest);
 }
 
-TEST(Checkpoint, StreamRoundTrip) {
+// The decoded status of a checkpoint held in `bytes`.
+CheckpointStatus status_of(const Bytes& bytes, RunResult& r) {
+  return decode_checkpoint(bytes.data(), bytes.data() + bytes.size(), r);
+}
+
+bool loads(const Bytes& bytes, RunResult& r) { return status_of(bytes, r) == CheckpointStatus::kOk; }
+
+TEST(Checkpoint, BufferRoundTrip) {
   const Scene s = scenes::cornell_box();
   RunConfig cfg;
   cfg.photons = 15000;
   const RunResult r = run_serial(s, cfg);
 
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  save_checkpoint(r, buf);
+  const Bytes buf = encode_checkpoint(r);
   RunResult loaded;
-  ASSERT_TRUE(load_checkpoint(buf, loaded));
+  ASSERT_TRUE(loads(buf, loaded));
   EXPECT_TRUE(loaded.forest == r.forest);
   EXPECT_EQ(loaded.counters.emitted, r.counters.emitted);
   EXPECT_EQ(loaded.counters.bounces, r.counters.bounces);
@@ -85,10 +90,9 @@ TEST(Checkpoint, FileRoundTripAndResume) {
 }
 
 TEST(Checkpoint, RejectsGarbage) {
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  buf << "definitely not a checkpoint";
+  const std::string text = "definitely not a checkpoint";
   RunResult r;
-  EXPECT_FALSE(load_checkpoint(buf, r));
+  EXPECT_FALSE(loads(Bytes(text.begin(), text.end()), r));
 }
 
 TEST(Checkpoint, RejectsMissingFile) {
@@ -101,18 +105,16 @@ TEST(Checkpoint, RejectsMissingFile) {
 // the multi-hour run the checkpoint exists to protect). Mirrors the framed-
 // tree corrupt-buffer tests in test_binforest.
 
-std::string checkpoint_bytes() {
+Bytes checkpoint_bytes() {
   const Scene s = scenes::cornell_box();
   RunConfig cfg;
   cfg.photons = 4000;
   const RunResult r = run_serial(s, cfg);
-  std::ostringstream out(std::ios::binary);
-  save_checkpoint(r, out);
-  return out.str();
+  return encode_checkpoint(r);
 }
 
 TEST(CheckpointFuzz, EveryTruncationIsRejected) {
-  const std::string bytes = checkpoint_bytes();
+  const Bytes bytes = checkpoint_bytes();
   ASSERT_GT(bytes.size(), 64u);
   // Every prefix around the header plus a spread through the forest body.
   std::vector<std::size_t> cuts;
@@ -120,30 +122,28 @@ TEST(CheckpointFuzz, EveryTruncationIsRejected) {
   for (std::size_t n = 128; n < bytes.size(); n += 997) cuts.push_back(n);
   cuts.push_back(bytes.size() - 1);
   for (const std::size_t n : cuts) {
-    std::istringstream in(bytes.substr(0, n), std::ios::binary);
     RunResult r;
-    EXPECT_FALSE(load_checkpoint(in, r)) << "truncated at " << n;
+    EXPECT_NE(decode_checkpoint(bytes.data(), bytes.data() + n, r), CheckpointStatus::kOk)
+        << "truncated at " << n;
   }
-  // The untouched stream still loads — the cuts above failed for the right
+  // The untouched buffer still loads — the cuts above failed for the right
   // reason.
-  std::istringstream whole(bytes, std::ios::binary);
   RunResult r;
-  EXPECT_TRUE(load_checkpoint(whole, r));
+  EXPECT_TRUE(loads(bytes, r));
 }
 
 TEST(CheckpointFuzz, EveryBitFlipIsRejected) {
-  const std::string bytes = checkpoint_bytes();
+  const Bytes bytes = checkpoint_bytes();
   Lcg48 rng(2026);
   for (int trial = 0; trial < 300; ++trial) {
-    std::string damaged = bytes;
+    Bytes damaged = bytes;
     const std::size_t pos = static_cast<std::size_t>(rng.uniform_int(damaged.size()));
     const int bit = static_cast<int>(rng.uniform_int(8));
-    damaged[pos] = static_cast<char>(damaged[pos] ^ (1 << bit));
-    std::istringstream in(damaged, std::ios::binary);
+    damaged[pos] = static_cast<std::uint8_t>(damaged[pos] ^ (1 << bit));
     RunResult r;
     // The checksum covers the whole payload; flips in the magic, length, or
     // checksum fields fail those comparisons instead.
-    EXPECT_FALSE(load_checkpoint(in, r)) << "flip at byte " << pos << " bit " << bit;
+    EXPECT_FALSE(loads(damaged, r)) << "flip at byte " << pos << " bit " << bit;
   }
 }
 
@@ -151,11 +151,10 @@ TEST(CheckpointFuzz, RandomNoiseNeverLoads) {
   Lcg48 rng(99);
   for (int trial = 0; trial < 100; ++trial) {
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(4096));
-    std::string noise(n, '\0');
-    for (char& c : noise) c = static_cast<char>(rng.uniform_int(256));
-    std::istringstream in(noise, std::ios::binary);
+    Bytes noise(n);
+    for (std::uint8_t& c : noise) c = static_cast<std::uint8_t>(rng.uniform_int(256));
     RunResult r;
-    EXPECT_FALSE(load_checkpoint(in, r)) << "trial " << trial;
+    EXPECT_FALSE(loads(noise, r)) << "trial " << trial;
   }
 }
 
@@ -172,11 +171,11 @@ TEST(CheckpointChecksum, MatchesPublishedXxh64Vectors) {
 // --- Typed rejection statuses: photon_cli prints WHICH check a refused
 // checkpoint failed, so every distinct failure must map to its own status.
 
-void put_u64(std::string& bytes, std::size_t at, std::uint64_t v) {
+void put_u64(Bytes& bytes, std::size_t at, std::uint64_t v) {
   std::memcpy(&bytes[at], &v, sizeof(v));
 }
 
-std::uint64_t get_u64(const std::string& bytes, std::size_t at) {
+std::uint64_t get_u64(const Bytes& bytes, std::size_t at) {
   std::uint64_t v = 0;
   std::memcpy(&v, bytes.data() + at, sizeof(v));
   return v;
@@ -184,62 +183,66 @@ std::uint64_t get_u64(const std::string& bytes, std::size_t at) {
 
 // Re-seals an edited checkpoint: recomputes the payload checksum so the edit
 // reaches the check under test instead of tripping the checksum first.
-void reseal(std::string& bytes) {
+void reseal(Bytes& bytes) {
   const std::uint64_t length = get_u64(bytes, 8);
   put_u64(bytes, 16 + static_cast<std::size_t>(length),
           xxh64(bytes.data() + 16, static_cast<std::size_t>(length)));
 }
 
-CheckpointStatus status_of(const std::string& bytes) {
-  std::istringstream in(bytes, std::ios::binary);
+CheckpointStatus status_of(const Bytes& bytes) {
   RunResult r;
-  return load_checkpoint_status(in, r);
+  return status_of(bytes, r);
+}
+
+// The first `n` bytes of `bytes`.
+Bytes prefix(const Bytes& bytes, std::size_t n) {
+  return Bytes(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(n));
 }
 
 TEST(CheckpointStatusTest, ReportsEachDistinctFailure) {
-  const std::string valid = checkpoint_bytes();
+  const Bytes valid = checkpoint_bytes();
   ASSERT_EQ(status_of(valid), CheckpointStatus::kOk);
 
-  std::string bad_magic = valid;
-  bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0xFF);
+  Bytes bad_magic = valid;
+  bad_magic[0] = static_cast<std::uint8_t>(bad_magic[0] ^ 0xFF);
   EXPECT_EQ(status_of(bad_magic), CheckpointStatus::kBadMagic);
 
   // v1 magic ("PHOTONCK"): a real but unverifiable old format, distinct from
   // garbage.
-  std::string v1 = valid;
+  Bytes v1 = valid;
   put_u64(v1, 0, 0x50484F544F4E434BULL);
   EXPECT_EQ(status_of(v1), CheckpointStatus::kOldVersion);
 
   // v2 magic ("PHOTNCK2", FNV-1a-64 checksum): superseded, not garbage.
-  std::string v2 = valid;
+  Bytes v2 = valid;
   put_u64(v2, 0, 0x50484F544E434B32ULL);
   EXPECT_EQ(status_of(v2), CheckpointStatus::kOldVersion);
 
   // v3 magic ("PHOTNCK3", per-rank RNG words): superseded, not garbage.
-  std::string v3 = valid;
+  Bytes v3 = valid;
   put_u64(v3, 0, 0x50484F544E434B33ULL);
   EXPECT_EQ(status_of(v3), CheckpointStatus::kOldVersion);
 
-  std::string bad_length = valid;
+  Bytes bad_length = valid;
   put_u64(bad_length, 8, (1ULL << 33) + 1);  // over the 8 GiB payload cap
   EXPECT_EQ(status_of(bad_length), CheckpointStatus::kBadLength);
 
-  EXPECT_EQ(status_of(valid.substr(0, valid.size() / 2)), CheckpointStatus::kTruncated);
-  EXPECT_EQ(status_of(valid.substr(0, 12)), CheckpointStatus::kTruncated);
+  EXPECT_EQ(status_of(prefix(valid, valid.size() / 2)), CheckpointStatus::kTruncated);
+  EXPECT_EQ(status_of(prefix(valid, 12)), CheckpointStatus::kTruncated);
 
-  std::string flipped = valid;
-  flipped[100] = static_cast<char>(flipped[100] ^ 1);
+  Bytes flipped = valid;
+  flipped[100] = static_cast<std::uint8_t>(flipped[100] ^ 1);
   EXPECT_EQ(status_of(flipped), CheckpointStatus::kChecksumMismatch);
 
   // A sealed payload too short for the five counter words.
-  std::string short_header = valid.substr(0, 16 + 16 + 8);
+  Bytes short_header = prefix(valid, 16 + 16 + 8);
   put_u64(short_header, 8, 16);
   reseal(short_header);
   EXPECT_EQ(status_of(short_header), CheckpointStatus::kBadHeader);
 
   // A sealed payload cut off right after the counters: the header parses,
   // the forest section is missing.
-  std::string no_forest = valid.substr(0, 16 + 40 + 8);
+  Bytes no_forest = prefix(valid, 16 + 40 + 8);
   put_u64(no_forest, 8, 40);
   reseal(no_forest);
   EXPECT_EQ(status_of(no_forest), CheckpointStatus::kBadForest);
@@ -251,11 +254,11 @@ TEST(CheckpointStatusTest, ReportsEachDistinctFailure) {
   // The path loader reads the file whole: a length field under the 8 GiB
   // cap but past the end of the file is a truncation, found without
   // allocating what the field claims.
-  std::string long_length = valid;
+  Bytes long_length = valid;
   put_u64(long_length, 8, 1ULL << 32);
   EXPECT_EQ(status_of(long_length), CheckpointStatus::kTruncated);
   const std::string path = ::testing::TempDir() + "/long_length.ck";
-  { std::ofstream(path, std::ios::binary) << long_length; }
+  ASSERT_TRUE(write_file(path, long_length));
   EXPECT_EQ(load_checkpoint_status(path, r), CheckpointStatus::kTruncated);
   std::remove(path.c_str());
 }
@@ -337,11 +340,11 @@ TEST(CheckpointFuzz, TrailingGarbageAfterAValidPayloadStillLoads) {
   // The format is length-prefixed: a valid checkpoint followed by unrelated
   // bytes (e.g. a partially overwritten file that got longer) must load the
   // valid part.
-  std::string bytes = checkpoint_bytes();
-  bytes += "trailing garbage the loader must not touch";
-  std::istringstream in(bytes, std::ios::binary);
+  Bytes bytes = checkpoint_bytes();
+  const std::string garbage = "trailing garbage the loader must not touch";
+  bytes.insert(bytes.end(), garbage.begin(), garbage.end());
   RunResult r;
-  EXPECT_TRUE(load_checkpoint(in, r));
+  EXPECT_TRUE(loads(bytes, r));
   EXPECT_GT(r.forest.tree_count(), 0u);
 }
 

@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -234,10 +233,11 @@ TEST_P(ElasticResumeTest, CheckpointAtOneWidthResumesAtAnother) {
 
         // Through the checkpoint byte format, not just the in-memory object: this is
         // the rank/group-count elasticity photon_cli's --resume exercises.
-        std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-        save_checkpoint(first, buf);
+        const Bytes buf = encode_checkpoint(first);
         RunResult loaded;
-        ASSERT_TRUE(load_checkpoint(buf, loaded)) << label;
+        ASSERT_EQ(decode_checkpoint(buf.data(), buf.data() + buf.size(), loaded),
+                  CheckpointStatus::kOk)
+            << label;
 
         const RunResult resumed = run_named(backend, *cell.scene, leg2, &loaded);
         EXPECT_GE(resumed.counters.emitted, total) << label;
@@ -340,10 +340,10 @@ TEST_P(PolicyResumeTest, ResumeKeepsANonDefaultSplitPolicy) {
     RunConfig straight_cfg = config_for(shape, 10000);
     for (RunConfig* cfg : {&leg1, &leg2, &straight_cfg}) cfg->policy = policy;
     const RunResult first = run_named(backend, scene, leg1);
-    std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-    save_checkpoint(first, buf);
+    const Bytes buf = encode_checkpoint(first);
     RunResult loaded;
-    ASSERT_EQ(load_checkpoint_status(buf, loaded), CheckpointStatus::kOk) << label;
+    ASSERT_EQ(decode_checkpoint(buf.data(), buf.data() + buf.size(), loaded), CheckpointStatus::kOk)
+        << label;
 
     const RunResult resumed = run_named(backend, scene, leg2, &loaded);
     const RunResult straight = run_named(backend, scene, straight_cfg);

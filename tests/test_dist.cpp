@@ -274,8 +274,8 @@ TEST(DistSim, ResumeAtDifferentShapeIsABitwiseContinuation) {
 }
 
 TEST(DistSim, ResumeConservesAndReproduces) {
-  // Distributed resume: the checkpoint's trees fold into the partitions
-  // (BinForest/BinTree merge) and the continuation adds exactly
+  // Distributed resume: each partition starts from the checkpoint's owned
+  // trees (BinForest::copy_owned_trees) and the continuation adds exactly
   // config.photons more photons.
   const Scene s = scenes::cornell_box();
   RunConfig leg1_cfg;
@@ -292,7 +292,7 @@ TEST(DistSim, ResumeConservesAndReproduces) {
 
   EXPECT_EQ(resumed.forest.emitted_total(), 3000u);
   EXPECT_EQ(resumed.counters.emitted, 3000u);
-  // Every tally of both legs survives the fold (merge conserves counts).
+  // Every tally of both legs survives the copy and the gather.
   std::uint64_t leg2_records = 0;
   for (const RankReport& rep : resumed.ranks) leg2_records += rep.processed;
   EXPECT_EQ(resumed.forest.total_tally_all(),

@@ -15,7 +15,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -275,10 +274,10 @@ TEST(Governance, PreemptedResultRoundTripsThroughACheckpoint) {
   clear_preempt();
   ASSERT_EQ(part.status, RunStatus::kPreempted);
 
-  std::stringstream bytes;
-  save_checkpoint(part, bytes);
+  const Bytes bytes = encode_checkpoint(part);
   RunResult loaded;
-  ASSERT_EQ(load_checkpoint_status(bytes, loaded), CheckpointStatus::kOk);
+  ASSERT_EQ(decode_checkpoint(bytes.data(), bytes.data() + bytes.size(), loaded),
+            CheckpointStatus::kOk);
   EXPECT_EQ(loaded.counters.emitted, part.counters.emitted);
 
   RunConfig rest = cfg;

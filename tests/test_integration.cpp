@@ -45,14 +45,16 @@ TEST(Integration, AnswerFileWorkflow) {
 double region_density(const BinTree& tree, float s0, float s1, float t0, float t1) {
   double total = 0.0;
   const double region_area = static_cast<double>(s1 - s0) * (t1 - t0);
+  const std::vector<BinRegion> regions = tree.regions();
   for (std::size_t i = 0; i < tree.node_count(); ++i) {
     const BinNode& n = tree.node(static_cast<int>(i));
     if (!n.is_leaf()) continue;
-    const double os = std::max(0.0f, std::min(s1, n.region.hi[0]) - std::max(s0, n.region.lo[0]));
-    const double ot = std::max(0.0f, std::min(t1, n.region.hi[1]) - std::max(t0, n.region.lo[1]));
+    const BinRegion& r = regions[i];
+    const double os = std::max(0.0f, std::min(s1, r.hi[0]) - std::max(s0, r.lo[0]));
+    const double ot = std::max(0.0f, std::min(t1, r.hi[1]) - std::max(t0, r.lo[1]));
     const double overlap = os * ot;
     if (overlap <= 0.0) continue;
-    const double leaf_area = static_cast<double>(n.region.extent(0)) * n.region.extent(1);
+    const double leaf_area = static_cast<double>(r.extent(0)) * r.extent(1);
     if (leaf_area > 0.0) total += static_cast<double>(n.total_tally()) / leaf_area * overlap;
   }
   return total / region_area;

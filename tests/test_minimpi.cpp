@@ -438,22 +438,38 @@ TEST(MiniMpiFaults, DroppedDeliveryNeverArrives) {
 }
 
 TEST(MiniMpiFaults, DelayedDeliveryArrivesLateAndIsWaitedFor) {
+  // The delay runs from the send instant, and rank 1 can reach its recv at
+  // any point of it (rank 0 may be descheduled between its send and the
+  // barrier), so the assertions are measured from the send: the message is
+  // seen no earlier than the delay after it, and the recv's wait covers what
+  // was left of the delay when rank 1 entered it. kSlack allows for the clock
+  // read and the mailbox lock between entering recv and starting its wait.
+  constexpr double kDelay = 0.05;
+  constexpr double kSlack = 0.002;
+  using Clock = std::chrono::steady_clock;
   FaultPlan plan;
-  plan.add_delay({0, 1, 0, 0, 0.05});
+  plan.add_delay({0, 1, 0, 0, kDelay});
   WorldOptions opt;
   opt.plan = &plan;
+  Clock::time_point sent, entered, seen;
   double waited = -1.0;
   run_world(2, opt, [&](Comm& comm) {
     if (comm.rank() == 0) {
+      sent = Clock::now();
       comm.send(1, Bytes(4));
       comm.barrier();  // the delivery is posted; only its visibility lags
     } else {
       comm.barrier();
+      entered = Clock::now();
       comm.recv(0);
+      seen = Clock::now();
       waited = comm.wait_seconds(0);
     }
   });
-  EXPECT_GT(waited, 0.02);
+  const auto seconds = [](Clock::duration d) { return std::chrono::duration<double>(d).count(); };
+  EXPECT_GE(seconds(seen - sent), kDelay);
+  const double left = kDelay - seconds(entered - sent);
+  EXPECT_GE(waited, left - kSlack) << "entered recv " << seconds(entered - sent) << " s after the send";
 }
 
 TEST(MiniMpiFaults, RetriesAbsorbADelayWithinTheDeadlineBudget) {

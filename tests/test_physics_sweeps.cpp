@@ -116,15 +116,17 @@ TEST_P(SunScaleSweep, BeamFootprintMatchesCone) {
   // be (nearly) zero.
   const BinTree& tree = r.forest.tree(0, true);
   std::uint64_t outside = 0, total = 0;
+  const std::vector<BinRegion> regions = tree.regions();
   for (std::size_t i = 0; i < tree.node_count(); ++i) {
     const BinNode& n = tree.node(static_cast<int>(i));
     if (!n.is_leaf()) continue;
     total += n.total_tally();
     // Leaf's floor-coordinate box: s,t in [0,1] -> world [-20,20].
-    const double lo_x = n.region.lo[1] * 40.0 - 20.0;  // t maps to x (edge_t)
-    const double hi_x = n.region.hi[1] * 40.0 - 20.0;
-    const double lo_z = n.region.lo[0] * 40.0 - 20.0;  // s maps to z (edge_s)
-    const double hi_z = n.region.hi[0] * 40.0 - 20.0;
+    const BinRegion& r = regions[i];
+    const double lo_x = r.lo[1] * 40.0 - 20.0;  // t maps to x (edge_t)
+    const double hi_x = r.hi[1] * 40.0 - 20.0;
+    const double lo_z = r.lo[0] * 40.0 - 20.0;  // s maps to z (edge_s)
+    const double hi_z = r.hi[0] * 40.0 - 20.0;
     const bool beyond = lo_x > max_half || hi_x < -max_half || lo_z > max_half ||
                         hi_z < -max_half;
     if (beyond) outside += n.total_tally();

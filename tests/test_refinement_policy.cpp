@@ -18,9 +18,9 @@ BinCoords uniform_coords(Lcg48& rng) {
 }
 
 std::size_t leaves_after(SplitPolicy policy, int photons, std::uint64_t seed = 3) {
-  BinTree tree(policy);
+  BinTree tree;
   Lcg48 rng(seed);
-  for (int i = 0; i < photons; ++i) tree.record(uniform_coords(rng), 0);
+  for (int i = 0; i < photons; ++i) tree.record(uniform_coords(rng), 0, policy);
   return tree.leaf_count();
 }
 
@@ -45,9 +45,9 @@ TEST(RefinementPolicy, FlatGrowthBoundsLeafResidency) {
   SplitPolicy policy;
   policy.max_leaf_count = 256;
   policy.count_growth = 1.0;
-  BinTree tree(policy);
+  BinTree tree;
   Lcg48 rng(4);
-  for (int i = 0; i < 20000; ++i) tree.record(uniform_coords(rng), 0);
+  for (int i = 0; i < 20000; ++i) tree.record(uniform_coords(rng), 0, policy);
   for (std::size_t i = 0; i < tree.node_count(); ++i) {
     const BinNode& n = tree.node(static_cast<int>(i));
     if (n.is_leaf()) EXPECT_LT(n.split_n, 512u);
@@ -69,15 +69,15 @@ TEST(RefinementPolicy, DepthTracksSplits) {
   SplitPolicy policy;
   policy.max_leaf_count = 128;
   policy.count_growth = 1.0;
-  BinTree tree(policy);
+  BinTree tree;
   Lcg48 rng(5);
-  for (int i = 0; i < 10000; ++i) tree.record(uniform_coords(rng), 0);
+  for (int i = 0; i < 10000; ++i) tree.record(uniform_coords(rng), 0, policy);
   // Node::depth must equal the number of ancestors.
   for (std::size_t i = 0; i < tree.node_count(); ++i) {
     const BinNode& n = tree.node(static_cast<int>(i));
     if (n.is_leaf()) continue;
     EXPECT_EQ(tree.node(n.left).depth, n.depth + 1);
-    EXPECT_EQ(tree.node(n.right).depth, n.depth + 1);
+    EXPECT_EQ(tree.node(n.right()).depth, n.depth + 1);
   }
 }
 

@@ -27,6 +27,7 @@
 #include "engine/governor.hpp"
 #include "engine/recovery.hpp"
 #include "geom/scenes.hpp"
+#include "mp/fault.hpp"
 #include "service/client.hpp"
 #include "service/daemon.hpp"
 #include "service/protocol.hpp"
@@ -349,6 +350,37 @@ TEST(Service, UnknownIdsThrowTyped) {
   EXPECT_THROW((void)service.status(42), ConfigError);
   EXPECT_THROW((void)service.wait(42), ConfigError);
   EXPECT_TRUE(service.jobs().empty());
+}
+
+TEST(Service, AFinishedJobKeepsOnlyItsInfo) {
+  // A finished job's spec (a whole RunConfig) and control are destroyed by
+  // the time wait() returns; status(), jobs() and wait() still report its
+  // JobInfo. The spec's fault plan witnesses the release.
+  PhotonService service(ServiceConfig{}, test_loader());
+  JobSpec spec = small_job("serial", 1000);
+  auto plan = std::make_shared<FaultPlan>();
+  const std::weak_ptr<FaultPlan> witness = plan;
+  spec.config.fault_plan = std::move(plan);
+  const std::uint64_t first = service.submit(spec);
+  spec.config.fault_plan.reset();
+  const std::uint64_t running = service.submit(long_job());
+  const std::uint64_t third = service.submit(small_job("shared", 1000, 2));
+
+  EXPECT_EQ(service.wait(first).state, JobState::kDone);
+  EXPECT_TRUE(witness.expired());
+  EXPECT_EQ(service.status(first).emitted, 1000u);
+  EXPECT_FALSE(service.cancel(first));
+  EXPECT_EQ(service.wait(third).state, JobState::kDone);
+
+  // Finished and live jobs come back in one list, in id order.
+  const std::vector<JobInfo> all = service.jobs();
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[0].id, first);
+  EXPECT_EQ(all[1].id, running);
+  EXPECT_EQ(all[2].id, third);
+  EXPECT_FALSE(job_state_terminal(all[1].state));
+  EXPECT_TRUE(service.cancel(running));
+  EXPECT_EQ(service.wait(running).state, JobState::kCancelled);
 }
 
 // ---- Protocol --------------------------------------------------------------
