@@ -19,7 +19,9 @@
 //                        [--report=json]
 //       Run the simulation on the selected backend (serial | shared |
 //       dist-particle | dist-spatial | hybrid) and write the answer file,
-//       optionally checkpointing so long runs can continue later. The hybrid
+//       optionally checkpointing so long runs can continue later. --accel
+//       pins the spatial index; without it the scene picks one by size (the
+//       grid from 28,000 patches up, the octree below). The hybrid
 //       backend runs --groups message-passing groups of --workers threads
 //       each. The --split-* flags set the adaptive-histogram SplitPolicy
 //       (significance threshold in sigma, minimum count before testing,
@@ -80,8 +82,8 @@
 //                        [--batch=N] [--chunk=N] [--accel=octree|grid]
 //                        [--checkpoint=FILE] [--trace=FILE] [--wait]
 //       Submit one job to a running daemon; prints the service's one-line
-//       JSON response. --wait blocks until the job finishes and prints its
-//       final report instead.
+//       JSON response. The daemon's --accel default is octree. --wait
+//       blocks until the job finishes and prints its final report instead.
 //   photon_cli status --socket=PATH [--job=N]
 //       One job's JSON report, or {"jobs": [...]} for all of them.
 //   photon_cli cancel --socket=PATH --job=N
@@ -97,6 +99,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -280,6 +283,9 @@ int report_engine_error(const EngineError& e, bool json_report) {
   return e.exit_code();
 }
 
+// A bundled scene arrives built (scenes::by_name); a scene file arrives
+// unbuilt, so that it is validated first and then built once, by
+// finish_scene, with its final structure.
 void load_any_scene(const std::string& spec, Scene& scene) {
   if (spec == "cornell" || spec == "harpsichord" || spec == "lab") {
     scene = scenes::by_name(spec);
@@ -288,7 +294,14 @@ void load_any_scene(const std::string& spec, Scene& scene) {
   if (!load_scene(spec, scene)) {
     throw SceneError("cannot load scene '" + spec + "'");
   }
-  scene.build();
+}
+
+// Pins `accel` when one was asked for, then builds the scene unless its
+// built index already is that structure. Every structure answers
+// bitwise-identical queries, so the choice never changes a result.
+void finish_scene(Scene& scene, std::optional<AccelKind> accel) {
+  if (accel) scene.set_accel(*accel);  // discards a built index of another kind
+  if (!scene.built()) scene.build();
 }
 
 int cmd_scenes() {
@@ -302,6 +315,7 @@ int cmd_scenes() {
 int cmd_info(const std::string& spec) {
   Scene scene;
   load_any_scene(spec, scene);
+  finish_scene(scene, std::nullopt);
   std::printf("scene: %s\n", scene.name().c_str());
   std::printf("  defining polygons : %zu\n", scene.patch_count());
   std::printf("  materials         : %zu\n", scene.materials().size());
@@ -338,15 +352,9 @@ int cmd_simulate_impl(const Args& args, const std::string& spec, const std::stri
     throw ConfigError("unknown backend '" + backend_sel + "' (see `photon_cli backends`)");
   }
 
-  if (const std::string* accel_name = args.get("accel")) {
-    const AccelKind accel = parse_accel_kind(*accel_name);
-    if (accel != scene.accel_kind()) {
-      // load_any_scene built the default octree; swap and rebuild. Every
-      // structure answers bitwise-identical queries, so results do not change.
-      scene.set_accel(accel);
-      scene.build();
-    }
-  }
+  std::optional<AccelKind> accel;
+  if (const std::string* accel_name = args.get("accel")) accel = parse_accel_kind(*accel_name);
+  finish_scene(scene, accel);
   Progress::instance().tick("accel-build", scene.patch_count());
 
   RunConfig config;
@@ -633,6 +641,7 @@ int cmd_render(int argc, char** argv, const std::string& spec, const std::string
   const Args args(argc, argv, 5, {"eye", "look", "fov", "size", "spp", "threads"}, {});
   Scene scene;
   load_any_scene(spec, scene);
+  finish_scene(scene, std::nullopt);
   BinForest forest;
   if (!BinForest::load(answer, forest)) {
     std::fprintf(stderr, "error: cannot load answer file '%s'\n", answer.c_str());
@@ -696,10 +705,7 @@ int cmd_serve(int argc, char** argv) {
   PhotonService service(cfg, [](const std::string& name, AccelKind kind) {
     auto scene = std::make_shared<Scene>();
     load_any_scene(name, *scene);
-    if (kind != scene->accel_kind()) {
-      scene->set_accel(kind);
-      scene->build();
-    }
+    finish_scene(*scene, kind);
     return std::shared_ptr<const Scene>(std::move(scene));
   });
   std::printf("photon service: listening on %s (max-active %d%s)\n", socket_path->c_str(),
@@ -782,6 +788,7 @@ int usage() {
                "                  [--watchdog=SECONDS] [--watchdog-grace=SECONDS]\n"
                "                  [--memory-budget=BYTES[k|m|g]]\n"
                "                  [--report=json]\n"
+               "                  (--accel default: grid from %zu patches, else octree)\n"
                "       photon_cli render <scene> <answer> <out.ppm> [--eye=x,y,z]\n"
                "                  [--look=x,y,z] [--fov=deg] [--size=WxH] [--spp=N]"
                " [--threads=N]\n"
@@ -792,10 +799,12 @@ int usage() {
                "                  [--photons=N] [--seed=N] [--workers=N] [--groups=N]\n"
                "                  [--batch=N] [--chunk=N] [--accel=octree|grid]\n"
                "                  [--checkpoint=FILE] [--trace=FILE] [--wait]\n"
+               "                  (--accel default: octree)\n"
                "       photon_cli status --socket=PATH [--job=N]\n"
                "       photon_cli cancel --socket=PATH --job=N\n"
                "exit codes: 0 ok, 1 i/o, 2 usage, 3 checkpoint, 4 comm, 5 preempted,\n"
-               "            6 wedged, 7 config, 8 scene, 9 resource\n");
+               "            6 wedged, 7 config, 8 scene, 9 resource\n",
+               kGridMinPatches);
   return 2;
 }
 

@@ -4,8 +4,9 @@
 // hybrid, dist-spatial); fields a backend does not use are simply ignored.
 // Defaults are backend-independent: fixed 10000-photon batches everywhere,
 // with the chapter-5 adaptive batching opt-in through adapt_batch. The
-// acceleration structure is not a run knob: the scene owns it
-// (Scene::set_accel), and every index a run builds follows the scene's kind.
+// acceleration structure is not a run knob: the scene owns it (picked by
+// patch count, default_accel_kind, unless Scene::set_accel pins one), and
+// every index a run builds follows the scene's kind.
 #pragma once
 
 #include <cstdint>

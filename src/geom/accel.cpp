@@ -15,6 +15,10 @@ int build_width(const AccelBuildParams& params, std::size_t items) {
   return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
+AccelKind default_accel_kind(std::size_t patches) {
+  return patches >= kGridMinPatches ? AccelKind::kGrid : AccelKind::kOctree;
+}
+
 std::vector<Aabb> patch_bounds(std::span<const Patch> patches, int width) {
   constexpr std::size_t kChunk = 4096;
   std::vector<Aabb> bounds(patches.size());

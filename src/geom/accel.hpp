@@ -13,22 +13,26 @@
 // referenced by every leaf or cell it reaches):
 //
 //   octree  flat pointer-free octree, XOR-octant front-to-back traversal
-//           (geom/octree.hpp) — the paper's structure and the default
+//           (geom/octree.hpp) — the paper's structure
 //   grid    nested uniform grid, dense sub-grids in hot cells, DDA traversal
 //           with first-confirmed-nearest early-out (geom/grid.hpp)
+//
+// A scene picks one by its size (default_accel_kind): the grid from
+// kGridMinPatches patches up, the octree below.
 //
 // Both reuse the one SIMD leaf kernel and contract a deterministic parallel
 // build: the packed arrays are bitwise-identical for any
 // AccelBuildParams::workers value. Each build cuts its work into a task list
-// fixed by the input alone (octree subtrees, grid hot cells, blocks of
-// leaves), runs it on the shared WorkerPool, and every task writes only its
-// own arena or its own ranges of the packed arrays, so the schedule cannot
-// reach the result. Both end in one leaf pack (pack_leaves,
+// fixed by the input alone (octree subtrees, grid patch chunks and hot
+// cells, blocks of leaves), runs it on the shared WorkerPool, and every task
+// writes only its own arena or its own ranges of the packed arrays, so the
+// schedule cannot reach the result. Both end in one leaf pack (pack_leaves,
 // geom/leaf_kernel.hpp). The scene owns the choice of structure
-// (Scene::set_accel); every index a run builds, dist-spatial's per-region
-// ones included, reads it from there. Scene holds an AccelStructure by
-// pointer, so dependents of geom/scene.hpp compile against this header
-// alone — structure-specific headers are implementation detail.
+// (Scene::set_accel overrides the size rule); every index a run builds,
+// dist-spatial's per-region ones included, reads it from there. Scene holds
+// an AccelStructure by pointer, so dependents of geom/scene.hpp compile
+// against this header alone — structure-specific headers are implementation
+// detail.
 #pragma once
 
 #include <cstddef>
@@ -151,6 +155,20 @@ class AccelStructure {
 // waking the pool takes. An explicit width is always honoured.
 inline constexpr std::size_t kParallelBuildMinItems = 2048;
 int build_width(const AccelBuildParams& params, std::size_t items);
+
+// The structure a scene of `patches` patches builds unless Scene::set_accel
+// chose one: the grid at or above kGridMinPatches, the octree below. The
+// constant sits at the build-time crossover of bench_accel's size sweep on
+// 10 x 3 x 10 m tessellated rooms (BENCH_accel.json, "sweep"; medians of 5
+// alternating runs at the default width, 4 cores): the octree built faster
+// up to 26,391 patches (7.5 against 8.0 ms) and the grid from 29,071 on
+// (6.2 against 7.5 ms; 10.2 against 16.7 ms at 128,001). The octree's index
+// is the smaller one up to about 63k patches. Photons/s does not move the
+// line: on the hollow rooms the two trace within noise of each other at
+// every size, and on cluttered scenes (the lab, the harpsichord room, the
+// office) the grid leads at every size.
+inline constexpr std::size_t kGridMinPatches = 28000;
+AccelKind default_accel_kind(std::size_t patches);
 
 // Runs task(i) for every i in [0, n) on the shared WorkerPool `width` wide,
 // or inline in ascending order when width <= 1 (a serial build pays nothing

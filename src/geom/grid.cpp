@@ -107,44 +107,78 @@ void HashGrid::build(std::span<const Patch> patches, const AccelBuildParams& par
   };
 
   // Rasterize with a whisker of padding so a patch lying exactly on a cell
-  // face is referenced by both neighbors.
+  // face is referenced by both neighbors. Each patch's coarse cell range is
+  // computed once, by the count pass, and read again by the scatter.
   const double raster_eps = 1e-9 * (1.0 + diag);
-  const auto coarse_range = [&](std::size_t pid, int out_lo[3], int out_hi[3]) {
+  struct CellRange {
+    std::uint8_t lo[3], hi[3];  // res_ <= 64 on every axis
+  };
+  UninitVector<CellRange> ranges(n);
+  const auto coarse_range = [&](std::size_t pid) {
     const Aabb pb = patch_box[pid].padded(raster_eps);
+    CellRange& r = ranges[pid];
     for (int a = 0; a < 3; ++a) {
-      out_lo[a] = cell_index(pb.lo[a], bounds_.lo[a], cell_size_[a], res_[a]);
-      out_hi[a] = cell_index(pb.hi[a], bounds_.lo[a], cell_size_[a], res_[a]);
+      const auto index = [&](double x) {
+        return static_cast<std::uint8_t>(cell_index(x, bounds_.lo[a], cell_size_[a], res_[a]));
+      };
+      r.lo[a] = index(pb.lo[a]);
+      r.hi[a] = index(pb.hi[a]);
+    }
+  };
+  const auto for_each_cell = [&](std::size_t pid, const auto& visit) {
+    const CellRange& r = ranges[pid];
+    for (int iz = r.lo[2]; iz <= r.hi[2]; ++iz) {
+      for (int iy = r.lo[1]; iy <= r.hi[1]; ++iy) {
+        for (int ix = r.lo[0]; ix <= r.hi[0]; ++ix) visit(flat(ix, iy, iz));
+      }
     }
   };
 
-  // Counting sort into the coarse cells: fixed patch order makes every pass
-  // deterministic and leaves each cell's reference list ascending by id.
-  std::vector<std::uint32_t> coarse_off(nc + 1, 0);
-  for (std::size_t pid = 0; pid < n; ++pid) {
-    int clo[3], chi[3];
-    coarse_range(pid, clo, chi);
-    for (int iz = clo[2]; iz <= chi[2]; ++iz) {
-      for (int iy = clo[1]; iy <= chi[1]; ++iy) {
-        for (int ix = clo[0]; ix <= chi[0]; ++ix) ++coarse_off[flat(ix, iy, iz) + 1];
-      }
+  // Counting sort into the coarse cells, in fixed chunks of patches on the
+  // pool. Each chunk counts its references per cell; per cell, a prefix sum
+  // over the chunks in order turns the counts into each chunk's offset
+  // within the cell, and one over the cells gives coarse_off; each chunk then
+  // scatters its patches in ascending order from coarse_off + its offset. So
+  // every cell's list is ascending by patch id, as one serial pass leaves it,
+  // at any width.
+  constexpr std::size_t kPatchChunk = 16384;
+  constexpr std::size_t kCellBlock = 8192;
+  const std::size_t chunks = chunk_count(n, kPatchChunk);
+  // at[k * nc + c]: chunk k's references in cell c, then its offset there.
+  UninitVector<std::uint32_t> at(chunks * nc);
+  run_build_tasks(chunks, width, [&](std::size_t k) {
+    std::uint32_t* count = at.data() + k * nc;
+    std::fill(count, count + nc, 0u);
+    const std::size_t end = std::min(n, (k + 1) * kPatchChunk);
+    for (std::size_t pid = k * kPatchChunk; pid < end; ++pid) {
+      coarse_range(pid);
+      for_each_cell(pid, [&](std::size_t c) { ++count[c]; });
     }
-  }
+  });
+  std::vector<std::uint32_t> coarse_off(nc + 1);
+  run_build_tasks(chunk_count(nc, kCellBlock), width, [&](std::size_t b) {
+    const std::size_t end = std::min(nc, (b + 1) * kCellBlock);
+    for (std::size_t c = b * kCellBlock; c < end; ++c) {
+      std::uint32_t total = 0;
+      for (std::size_t k = 0; k < chunks; ++k) {
+        const std::uint32_t count = at[k * nc + c];
+        at[k * nc + c] = total;
+        total += count;
+      }
+      coarse_off[c + 1] = total;
+    }
+  });
   for (std::size_t c = 0; c < nc; ++c) coarse_off[c + 1] += coarse_off[c];
-  std::vector<std::int32_t> coarse_refs(coarse_off[nc]);
-  {
-    std::vector<std::uint32_t> cursor(coarse_off.begin(), coarse_off.end() - 1);
-    for (std::size_t pid = 0; pid < n; ++pid) {
-      int clo[3], chi[3];
-      coarse_range(pid, clo, chi);
-      for (int iz = clo[2]; iz <= chi[2]; ++iz) {
-        for (int iy = clo[1]; iy <= chi[1]; ++iy) {
-          for (int ix = clo[0]; ix <= chi[0]; ++ix) {
-            coarse_refs[cursor[flat(ix, iy, iz)]++] = static_cast<std::int32_t>(pid);
-          }
-        }
-      }
+  UninitVector<std::int32_t> coarse_refs(coarse_off[nc]);
+  run_build_tasks(chunks, width, [&](std::size_t k) {
+    std::uint32_t* offset = at.data() + k * nc;
+    const std::size_t end = std::min(n, (k + 1) * kPatchChunk);
+    for (std::size_t pid = k * kPatchChunk; pid < end; ++pid) {
+      for_each_cell(pid, [&](std::size_t c) {
+        coarse_refs[coarse_off[c] + offset[c]++] = static_cast<std::int32_t>(pid);
+      });
     }
-  }
+  });
 
   // Hot cells get nested sub-grids; block assignment scans cells in order.
   sub_res_ = std::clamp(params.grid_sub_res, 2, 8);

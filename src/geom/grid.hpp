@@ -20,11 +20,12 @@
 // overlapping it — so the untested remainder cannot beat the current best.
 // The accepted hit is bitwise-equal to the brute scan, like the octree's.
 //
-// The build is deterministic for any worker count by construction: the
-// counting-sort passes run in a fixed order, and the parallel phases on the
-// WorkerPool (per-hot-cell sub-rasterization, then the leaf pack,
-// pack_leaves) write disjoint precomputed ranges whose contents do not
-// depend on the schedule.
+// The build is deterministic for any worker count by construction: every
+// phase on the WorkerPool (the coarse count and scatter over fixed patch
+// chunks, the per-hot-cell sub-rasterization, then the leaf pack,
+// pack_leaves) writes disjoint precomputed ranges whose contents do not
+// depend on the schedule, and the coarse pass leaves each cell's list in
+// ascending patch order, as a serial counting sort would.
 #pragma once
 
 #include <array>

@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/uninit_vector.hpp"
 #include "geom/accel.hpp"
 #include "geom/patch.hpp"
 
@@ -37,27 +38,6 @@ namespace photon {
 // and diagnostics.
 int kernel_lane_width();
 const char* kernel_backend();
-
-// An allocator whose value-initialising construct() default-initialises
-// instead, so resize() of a vector of scalars allocates without writing: each
-// page is first touched by the build task that fills it, not by a serial
-// zero fill that the fill then overwrites.
-template <typename T>
-struct UninitAllocator : std::allocator<T> {
-  UninitAllocator() = default;
-  template <typename U>
-  UninitAllocator(const UninitAllocator<U>&) noexcept {}
-  template <typename U>
-  void construct(U* p) noexcept {
-    ::new (static_cast<void*>(p)) U;
-  }
-  template <typename U, typename... Args>
-  void construct(U* p, Args&&... args) {
-    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
-  }
-};
-template <typename T>
-using UninitVector = std::vector<T, UninitAllocator<T>>;
 
 // Structure-of-arrays leaf storage. Lane k of a leaf's block holds one
 // referenced patch's precomputed hit-test constants; the duplication (one

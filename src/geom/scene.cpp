@@ -1,7 +1,9 @@
 #include "geom/scene.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "core/error.hpp"
 
@@ -10,9 +12,8 @@ namespace photon {
 Scene::Scene() : accel_(make_accel(AccelKind::kOctree)) {}
 
 void Scene::set_accel(AccelKind kind) {
-  if (kind == accel_kind_ && accel_ != nullptr) return;
-  accel_kind_ = kind;
-  accel_ = make_accel(kind);
+  accel_pinned_ = true;
+  if (accel_->kind() != kind) accel_ = make_accel(kind);
 }
 
 void Scene::add_luminaire(int patch, const Rgb& power, double angular_scale) {
@@ -32,7 +33,8 @@ void Scene::build(const AccelBuildParams& params) {
   // A rebuild (the admission ladder's coarser leaves) goes into a fresh
   // structure, so the previous index's storage is released, not kept as
   // capacity the footprint would still count.
-  if (accel_->built()) accel_ = make_accel(accel_kind_);
+  const AccelKind kind = accel_kind();
+  if (accel_->built() || accel_->kind() != kind) accel_ = make_accel(kind);
   accel_->build(patches_, params);
 }
 
@@ -71,37 +73,55 @@ bool finite_vec(const Vec3& v) {
   return std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
 }
 
-[[noreturn]] void reject_patch(int index, const std::string& why) {
-  std::ostringstream what;
-  what << "scene rejected: patch " << index << " " << why;
-  throw SceneError(what.str(), index);
+// Why patch `p` is rejected, or an empty string when it is sound.
+std::string patch_fault(const Patch& p, int materials) {
+  if (!finite_vec(p.origin()) || !finite_vec(p.edge_s()) || !finite_vec(p.edge_t())) {
+    return "has a non-finite vertex";
+  }
+  // area == |edge_s x edge_t|: zero means collinear/zero edges — the normal
+  // is undefined and the bilinear inversion divides by the Gram determinant.
+  if (!(p.area() > 0.0) || !std::isfinite(p.area())) {
+    return "is degenerate (zero or non-finite area)";
+  }
+  if (!finite_vec(p.normal()) || p.normal().length_squared() == 0.0) {
+    return "has a zero or non-finite normal";
+  }
+  if (p.material_id() < 0 || p.material_id() >= materials) {
+    std::ostringstream what;
+    what << "references material " << p.material_id() << " of " << materials;
+    return what.str();
+  }
+  return {};
 }
 
 }  // namespace
 
-void validate_scene(const Scene& scene) {
+void validate_scene(const Scene& scene, int workers) {
   if (scene.patch_count() == 0) throw SceneError("scene rejected: no patches");
 
+  // Each chunk stops at its first bad patch, so the lowest chunk that found
+  // one holds the lowest bad index at any width.
+  const std::span<const Patch> patches = scene.patches();
   const int materials = static_cast<int>(scene.materials().size());
-  for (std::size_t i = 0; i < scene.patch_count(); ++i) {
+  constexpr std::size_t kChunk = 4096;
+  std::vector<std::size_t> first_bad(chunk_count(patches.size(), kChunk), patches.size());
+  AccelBuildParams width;
+  width.workers = workers;
+  run_build_tasks(first_bad.size(), build_width(width, patches.size()), [&](std::size_t c) {
+    const std::size_t end = std::min(patches.size(), (c + 1) * kChunk);
+    for (std::size_t i = c * kChunk; i < end; ++i) {
+      if (!patch_fault(patches[i], materials).empty()) {
+        first_bad[c] = i;
+        return;
+      }
+    }
+  });
+  for (const std::size_t i : first_bad) {
+    if (i == patches.size()) continue;
     const int index = static_cast<int>(i);
-    const Patch& p = scene.patch(index);
-    if (!finite_vec(p.origin()) || !finite_vec(p.edge_s()) || !finite_vec(p.edge_t())) {
-      reject_patch(index, "has a non-finite vertex");
-    }
-    // area == |edge_s x edge_t|: zero means collinear/zero edges — the normal
-    // is undefined and the bilinear inversion divides by the Gram determinant.
-    if (!(p.area() > 0.0) || !std::isfinite(p.area())) {
-      reject_patch(index, "is degenerate (zero or non-finite area)");
-    }
-    if (!finite_vec(p.normal()) || p.normal().length_squared() == 0.0) {
-      reject_patch(index, "has a zero or non-finite normal");
-    }
-    if (p.material_id() < 0 || p.material_id() >= materials) {
-      std::ostringstream what;
-      what << "references material " << p.material_id() << " of " << materials;
-      reject_patch(index, what.str());
-    }
+    throw SceneError("scene rejected: patch " + std::to_string(index) + " " +
+                         patch_fault(patches[i], materials),
+                     index);
   }
 
   for (std::size_t i = 0; i < scene.luminaires().size(); ++i) {

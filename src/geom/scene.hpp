@@ -3,13 +3,14 @@
 //
 // Geometry is immutable once build() is called (the paper replicates exactly
 // this structure on every rank; only the bin forest is distributed). The
-// spatial index is held behind the AccelStructure seam — octree by default,
-// switchable to the nested grid with set_accel() — so this header does not
+// spatial index is held behind the AccelStructure seam — chosen by patch
+// count (default_accel_kind: the nested grid from kGridMinPatches up, the
+// octree below), or pinned with set_accel() — so this header does not
 // depend on any structure-specific header, and every structure answers
 // queries bitwise-identically (the equivalence suite pins them against
 // intersect_brute). The scene is the one owner of the structure choice:
-// whatever else a run builds (dist-spatial's per-region indexes) uses
-// accel_kind().
+// whatever else a run builds (dist-spatial's per-region indexes, the
+// governor's coarsened rebuild) uses accel_kind().
 #pragma once
 
 #include <cstdint>
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "core/uninit_vector.hpp"
 #include "geom/accel.hpp"
 #include "geom/patch.hpp"
 #include "material/material.hpp"
@@ -73,14 +75,16 @@ class Scene {
 
   std::size_t patch_count() const { return patches_.size(); }
 
-  // Selects the acceleration structure for subsequent build() calls and for
-  // every index a run builds from this scene. Switching kinds discards any
-  // built index; call build() again.
+  // Pins the acceleration structure for subsequent build() calls and for
+  // every index a run builds from this scene, overriding the size rule.
+  // Switching kinds discards any built index; call build() again.
   void set_accel(AccelKind kind);
-  AccelKind accel_kind() const { return accel_kind_; }
+  // The pinned kind, else default_accel_kind(patch_count()).
+  AccelKind accel_kind() const {
+    return accel_pinned_ ? accel_->kind() : default_accel_kind(patches_.size());
+  }
 
-  // Builds the selected acceleration structure. Must be called before
-  // intersect().
+  // Builds the accel_kind() structure. Must be called before intersect().
   void build(const AccelBuildParams& params = {});
   bool built() const { return accel_->built(); }
   const AccelStructure& accel() const { return *accel_; }
@@ -105,12 +109,12 @@ class Scene {
 
  private:
   std::string name_ = "scene";
-  std::vector<Patch> patches_;
+  UninitVector<Patch> patches_;  // mapped when large, like the index
   std::vector<Material> materials_;
   std::vector<Luminaire> luminaires_;
-  // Never null: constructed with an empty octree, replaced by set_accel().
+  // Never null: an empty octree until build() or set_accel() replaces it.
   std::unique_ptr<AccelStructure> accel_;
-  AccelKind accel_kind_ = AccelKind::kOctree;
+  bool accel_pinned_ = false;  // set_accel() was called
 };
 
 // Rejects degenerate input with a typed SceneError (core/error.hpp) naming
@@ -118,9 +122,12 @@ class Scene {
 // (which have a zero normal and undefined bilinear inversion — the tracer
 // divides by them), out-of-range material references, luminaires with
 // invalid patch indices, non-finite or negative power, angular_scale outside
-// (0, 1], and a scene whose total power is zero (nothing to emit). Called by
-// the CLI after load, before any build; library callers may skip it and keep
-// the historical garbage-in behavior.
-void validate_scene(const Scene& scene);
+// (0, 1], and a scene whose total power is zero (nothing to emit). Of several
+// bad patches it names the lowest. The patch scan runs in fixed chunks on the
+// WorkerPool `workers` wide (<= 0: one slot per hardware thread, serial
+// below kParallelBuildMinItems patches, as AccelBuildParams::workers).
+// Called by the CLI after load, before the one build; library callers may
+// skip it and keep the historical garbage-in behavior.
+void validate_scene(const Scene& scene, int workers = 0);
 
 }  // namespace photon

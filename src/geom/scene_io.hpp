@@ -18,7 +18,7 @@ void save_scene(const Scene& scene, std::ostream& out);
 bool save_scene(const Scene& scene, const std::string& path);
 
 // Parses a scene; returns false (and leaves `scene` unspecified) on malformed
-// input. The octree is NOT built; call scene.build().
+// input. The index is NOT built; call scene.build().
 bool load_scene(std::istream& in, Scene& scene);
 bool load_scene(const std::string& path, Scene& scene);
 

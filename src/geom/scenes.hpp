@@ -3,8 +3,8 @@
 //
 // The original 1997 geometry files are lost; these synthetic equivalents
 // match the paper's defining-polygon counts and surface-type mix (see
-// DESIGN.md, "Substitutions"). All scenes are returned fully built (octree
-// ready) with luminaires registered.
+// DESIGN.md, "Substitutions"). All scenes are returned fully built (index
+// chosen by the size rule, geom/accel.hpp) with luminaires registered.
 #pragma once
 
 #include "geom/scene.hpp"

@@ -7,6 +7,10 @@
 //   submit scene=<name> [backend=<b>] [photons=<n>] [seed=<n>] [workers=<n>]
 //          [groups=<n>] [batch=<n>] [chunk=<n>] [accel=octree|grid]
 //          [checkpoint=<path>] [trace=<path>]
+//
+// accel= defaults to octree (JobSpec::accel), not to the scene-size rule
+// photon_cli applies: the daemon's traffic is the bundled scenes, which the
+// rule gives the octree too.
 //   status [job=<id>]
 //   wait job=<id>
 //   cancel job=<id>

@@ -55,7 +55,7 @@ namespace photon {
 // RunControl.
 struct JobSpec {
   std::string scene;             // resident-scene name, resolved by the loader
-  AccelKind accel = AccelKind::kOctree;
+  AccelKind accel = AccelKind::kOctree;  // explicit, not the scene-size rule
   std::string backend = "serial";
   RunConfig config;
   std::string checkpoint_path;   // non-empty: save the final result here (atomic)

@@ -236,16 +236,25 @@ std::vector<Patch> patches_of(const Scene& scene) {
   return {scene.patches().begin(), scene.patches().end()};
 }
 
+// A room above kGridMinPatches: the size rule builds it with the grid.
+Scene big_room() { return scenes::tessellated_room(10.0, 3.0, 10.0, 0.1); }
+
 // The inputs the build pins run on: random soups below and above the
-// auto-width threshold, the tessellated room (thousands of coplanar tiles
-// meeting edge to edge) and the lab.
-std::vector<std::pair<std::string, std::vector<Patch>>> build_inputs() {
+// auto-width threshold, the tessellated rooms (thousands of coplanar tiles
+// meeting edge to edge; the big one fills two patch chunks of the grid's
+// coarse pass) and the lab. The grid also gets denser soups, whose hot cells
+// run its nested sub-grids; the octree would subdivide their overlapping
+// patches to its depth limit.
+std::vector<std::pair<std::string, std::vector<Patch>>> build_inputs(AccelKind kind) {
+  std::vector<int> soups = {64, 700, 2500};
+  if (kind == AccelKind::kGrid) soups.insert(soups.end(), {3000, 10000});
   std::vector<std::pair<std::string, std::vector<Patch>>> inputs;
-  for (const int n : {64, 700, 2500}) {
+  for (const int n : soups) {
     inputs.emplace_back("soup" + std::to_string(n),
                         random_patch_soup(n, 1000 + static_cast<std::uint64_t>(n)));
   }
   inputs.emplace_back("room", patches_of(scenes::tessellated_room()));
+  inputs.emplace_back("big_room", patches_of(big_room()));
   inputs.emplace_back("lab", patches_of(scenes::computer_lab()));
   return inputs;
 }
@@ -254,12 +263,15 @@ std::vector<std::pair<std::string, std::vector<Patch>>> build_inputs() {
 // be bitwise-identical at any worker count (explicit workers always takes
 // the task-decomposed path) — also under adversarial pool schedules, every
 // helper stealing from slot 0 or a shuffled claim order, since the tasks and
-// leaf-pack blocks write only their own arenas and ranges.
+// leaf-pack blocks write only their own arenas and ranges. A grid input above
+// the auto-width threshold without hot cells at the defaults is built again
+// with a low refinement threshold, so that every such input runs both the
+// chunked coarse pass and the nested sub-grids on the pool.
 TEST_P(AccelKindTest, ParallelBuildIsBitwiseIdenticalToSerial) {
-  for (const auto& [name, patches] : build_inputs()) {
-    AccelBuildParams params;
+  const auto pin = [&](const std::string& name, std::span<const Patch> patches,
+                       AccelBuildParams params) {
     params.workers = 1;
-    const auto serial = make_accel(GetParam());
+    std::unique_ptr<AccelStructure> serial = make_accel(GetParam());
     serial->build(patches, params);
     for (const auto schedule : {WorkerPool::TestSchedule::kNone,
                                 WorkerPool::TestSchedule::kForceSteal,
@@ -270,9 +282,22 @@ TEST_P(AccelKindTest, ParallelBuildIsBitwiseIdenticalToSerial) {
         const auto parallel = make_accel(GetParam());
         parallel->build(patches, params);
         EXPECT_TRUE(parallel->identical_to(*serial))
-            << accel_kind_name(GetParam()) << " " << name << " workers=" << workers
+            << accel_kind_name(GetParam()) << " " << name
+            << " threshold=" << params.grid_refine_threshold << " workers=" << workers
             << " schedule=" << static_cast<int>(schedule);
       }
+    }
+    return serial;
+  };
+  for (const auto& [name, patches] : build_inputs(GetParam())) {
+    const auto serial = pin(name, patches, AccelBuildParams{});
+    const auto* grid = dynamic_cast<const HashGrid*>(serial.get());
+    if (grid == nullptr || patches.size() <= kParallelBuildMinItems) continue;
+    if (grid->refined_cell_count() == 0) {
+      AccelBuildParams hot;
+      hot.grid_refine_threshold = 4;
+      const auto refined = pin(name, patches, hot);
+      EXPECT_GT(dynamic_cast<const HashGrid&>(*refined).refined_cell_count(), 0u) << name;
     }
   }
 }
@@ -282,7 +307,7 @@ TEST_P(AccelKindTest, ParallelBuildIsBitwiseIdenticalToSerial) {
 // kernel's denom != 0 test rejects) and id -1. Real lanes hold their item's
 // id and constants, in CSR order.
 TEST_P(AccelKindTest, EveryLaneIsAnItemOrASentinel) {
-  for (const auto& [name, patches] : build_inputs()) {
+  for (const auto& [name, patches] : build_inputs(GetParam())) {
     for (const int workers : {1, 4}) {
       AccelBuildParams params;
       params.workers = workers;
@@ -417,6 +442,66 @@ TEST(HashGrid, RefinementThresholdDisablesNesting) {
   grid.build(patches, params);
   EXPECT_EQ(grid.refined_cell_count(), 0u);
   EXPECT_EQ(grid.depth(), 1);
+}
+
+// A floor of `n` unit tiles, 200 to a row: only its patch count matters to
+// the size rule.
+Scene tile_floor(std::size_t n) {
+  Scene scene;
+  scene.add_material(Material::lambertian(Rgb::splat(0.5)));
+  for (std::size_t i = 0; i < n; ++i) {
+    const Vec3 origin{static_cast<double>(i % 200), 0, static_cast<double>(i / 200)};
+    scene.add_patch(Patch(origin, {0, 0, 1}, {1, 0, 0}, 0));
+  }
+  return scene;
+}
+
+TEST(AccelRule, ThePatchCountPicksTheStructure) {
+  EXPECT_EQ(default_accel_kind(0), AccelKind::kOctree);
+  EXPECT_EQ(default_accel_kind(kGridMinPatches - 1), AccelKind::kOctree);
+  EXPECT_EQ(default_accel_kind(kGridMinPatches), AccelKind::kGrid);
+  // The line lies between the largest bundled scene and the benchmark office.
+  EXPECT_GT(kGridMinPatches, scenes::computer_lab().patch_count());
+  EXPECT_LT(kGridMinPatches, std::size_t{89000});
+
+  for (const auto& [patches, kind] :
+       {std::pair{kGridMinPatches - 1, AccelKind::kOctree},
+        std::pair{kGridMinPatches, AccelKind::kGrid}}) {
+    Scene scene = tile_floor(patches);
+    EXPECT_EQ(scene.accel_kind(), kind) << patches;
+    scene.build();
+    EXPECT_EQ(scene.accel_kind(), kind) << patches;
+    EXPECT_EQ(scene.accel().kind(), kind) << patches;
+  }
+}
+
+TEST(AccelRule, SetAccelBeforeBuildWinsBothWays) {
+  Scene big = tile_floor(kGridMinPatches);
+  big.set_accel(AccelKind::kOctree);
+  big.build();
+  EXPECT_EQ(big.accel_kind(), AccelKind::kOctree);
+  EXPECT_EQ(big.accel().kind(), AccelKind::kOctree);
+
+  Scene small = tile_floor(kGridMinPatches - 1);
+  small.set_accel(AccelKind::kGrid);
+  small.build();
+  EXPECT_EQ(small.accel_kind(), AccelKind::kGrid);
+  EXPECT_EQ(small.accel().kind(), AccelKind::kGrid);
+
+  // A rebuild (the admission ladder's coarser leaves) keeps the kind, picked
+  // or pinned.
+  AccelBuildParams coarse;
+  coarse.max_leaf_items = 64;
+  coarse.grid_sub_res = 2;
+  for (Scene* scene : {&big, &small}) {
+    const AccelKind kind = scene->accel_kind();
+    scene->build(coarse);
+    EXPECT_EQ(scene->accel().kind(), kind);
+  }
+  Scene picked = tile_floor(kGridMinPatches);
+  picked.build();
+  picked.build(coarse);
+  EXPECT_EQ(picked.accel().kind(), AccelKind::kGrid);
 }
 
 TEST(Scene, SwitchingAccelKindRebuildsAndAnswersIdentically) {

@@ -206,6 +206,31 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ConformanceTest,
                            return name + "_" + accel_kind_name(info.param.second);
                          });
 
+// --- A room above kGridMinPatches: the size rule indexes it with the grid.
+// Its serial answer equals the explicit-octree serial answer bit for bit,
+// and every parallel name at its benchmark-like shape equals that answer.
+// CI's scalar-kernel job runs these cells too.
+TEST(ConformanceBigRoom, SizePickedGridEqualsTheOctreeAtEveryShape) {
+  const Scene grid_room = scenes::tessellated_room(10.0, 3.0, 10.0, 0.1);
+  ASSERT_EQ(grid_room.accel_kind(), AccelKind::kGrid);
+  Scene octree_room = scenes::tessellated_room(10.0, 3.0, 10.0, 0.1);
+  octree_room.set_accel(AccelKind::kOctree);
+  octree_room.build();
+
+  constexpr std::uint64_t kPhotons = 1000;
+  const RunResult reference = run_serial(octree_room, config_for({1, 1}, kPhotons));
+  const RunResult serial = run_serial(grid_room, config_for({1, 1}, kPhotons));
+  EXPECT_TRUE(serial.forest == reference.forest);
+  EXPECT_EQ(serial.counters.bounces, reference.counters.bounces);
+  const std::vector<std::pair<std::string, Shape>> cells = {
+      {"shared", {1, 4}}, {"dist-particle", {1, 4}}, {"hybrid", {2, 2}}, {"dist-spatial", {1, 4}}};
+  for (const auto& [backend, shape] : cells) {
+    const RunResult r = run_named(backend, grid_room, config_for(shape, kPhotons));
+    EXPECT_TRUE(r.forest == reference.forest) << backend;
+    EXPECT_EQ(r.counters.bounces, reference.counters.bounces) << backend;
+  }
+}
+
 // --- Elastic resume across a CHANGED shape: checkpoint at width P0, resume
 // at width P1 through the checkpoint byte-format round-trip. Every (P0, P1)
 // cell conserves and equals the straight run bit for bit.

@@ -8,6 +8,7 @@
 // label, including the ASan+UBSan job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -29,6 +30,7 @@
 #include "core/error.hpp"
 #include "engine/governor.hpp"
 #include "engine/recovery.hpp"
+#include "geom/scene_io.hpp"
 #include "geom/scenes.hpp"
 #include "mp/fault.hpp"
 #include "sim/checkpoint.hpp"
@@ -573,6 +575,32 @@ TEST(Admission, TightBudgetWalksTheLadderInOrder) {
   EXPECT_LE(plan.estimated_bytes, cfg.memory_budget);
 }
 
+// Rung 1 rebuilds the scene's own structure: the grid the size rule picked
+// for a big room, or the octree pinned on the same room.
+TEST(Admission, CoarsenedRebuildKeepsTheScenesStructure) {
+  for (const bool pin_octree : {false, true}) {
+    Scene scene = scenes::tessellated_room(10.0, 3.0, 10.0, 0.1);
+    if (pin_octree) {
+      scene.set_accel(AccelKind::kOctree);
+      scene.build();
+    }
+    const AccelKind kind = pin_octree ? AccelKind::kOctree : AccelKind::kGrid;
+    ASSERT_EQ(scene.accel().kind(), kind);
+    RunConfig cfg = gov_config();
+    cfg.memory_budget = 1ull << 40;
+    cfg.memory_budget = govern_admission(scene, cfg).estimated_bytes - 1;
+    // The rung rebuilds before it re-checks the budget, and this room's
+    // grid has no hot cells to coarsen, so the plan may still be refused.
+    try {
+      EXPECT_TRUE(govern_admission(scene, cfg).coarsened_accel);
+    } catch (const ResourceError&) {
+    }
+    ASSERT_TRUE(scene.built());
+    EXPECT_EQ(scene.accel_kind(), kind);
+    EXPECT_EQ(scene.accel().kind(), kind);
+  }
+}
+
 TEST(Admission, ImpossibleBudgetRefusesWithATypedError) {
   Scene scene = scenes::cornell_box();
   RunConfig cfg = gov_config();
@@ -645,6 +673,47 @@ TEST(SceneValidation, RejectsDegeneratePatchesNamingTheIndex) {
     s.add_patch(Patch({0, 0, 2}, {1, 0, 0}, {0, 1, 0}, 99));  // bad material
     expect_scene_rejected(s, 2, "bad-material");
   }
+}
+
+// Above kParallelBuildMinItems patches the patch scan runs in chunks on the
+// pool; at every width it must name the lowest bad patch with the serial
+// scan's message, wherever the bad patches sit among the chunks.
+TEST(SceneValidation, ThePoolScanNamesTheLowestBadPatchAtEveryWidth) {
+  const double nan = std::nan("");
+  // A 20,000-patch floor whose patches at `bad` have a NaN vertex (even
+  // index) or a missing material (odd index).
+  const auto floor_with = [&](const std::vector<int>& bad) {
+    Scene s = valid_two_patch_scene();
+    for (int i = 2; i < 20000; ++i) {
+      const bool is_bad = std::find(bad.begin(), bad.end(), i) != bad.end();
+      const Vec3 origin{is_bad && i % 2 == 0 ? nan : i % 100, -1.0, i / 100.0};
+      s.add_patch(Patch(origin, {0, 0, 1}, {1, 0, 0}, is_bad && i % 2 == 1 ? 7 : 0));
+    }
+    return s;
+  };
+  for (const std::vector<int>& bad :
+       {std::vector<int>{19999}, {12289, 4097}, {4096, 4097, 15000}, {5, 19000}, {8191, 8190}}) {
+    const Scene s = floor_with(bad);
+    const int lowest = *std::min_element(bad.begin(), bad.end());
+    std::string serial_message;
+    try {
+      validate_scene(s, 1);
+    } catch (const SceneError& e) {
+      serial_message = e.what();
+    }
+    EXPECT_NE(serial_message.find("patch " + std::to_string(lowest) + " "), std::string::npos)
+        << serial_message;
+    for (const int workers : {0, 1, 2, 3, 4, 8}) {
+      try {
+        validate_scene(s, workers);
+        ADD_FAILURE() << "workers=" << workers << ": degenerate scene was accepted";
+      } catch (const SceneError& e) {
+        EXPECT_EQ(e.patch, lowest) << "workers=" << workers;
+        EXPECT_EQ(std::string(e.what()), serial_message) << "workers=" << workers;
+      }
+    }
+  }
+  EXPECT_NO_THROW(validate_scene(floor_with({}), 4));
 }
 
 TEST(SceneValidation, RejectsInvalidLuminaires) {
@@ -741,11 +810,13 @@ TEST(FaultPlanParse, RejectsMalformedSpecsWithADiagnostic) {
 #ifdef PHOTON_CLI_PATH
 
 // Runs photon_cli with `args`, optionally delivering `sig` after
-// `kill_after_ms`; its stderr goes to `stderr_path`. Returns the exit status
+// `kill_after_ms`; its stderr goes to `stderr_path` and its stdout to
+// `stdout_path`. Returns the exit status
 // (or -1 on harness failure; -signal when the child died on an unhandled
 // signal).
 int run_cli(const std::vector<std::string>& args, int kill_after_ms = -1,
-            int sig = SIGTERM, const std::string& stderr_path = "/dev/null") {
+            int sig = SIGTERM, const std::string& stderr_path = "/dev/null",
+            const std::string& stdout_path = "/dev/null") {
   const pid_t pid = fork();
   if (pid < 0) return -1;
   if (pid == 0) {
@@ -754,7 +825,7 @@ int run_cli(const std::vector<std::string>& args, int kill_after_ms = -1,
     argv.push_back(const_cast<char*>(exe.c_str()));
     for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
     argv.push_back(nullptr);
-    if (!std::freopen("/dev/null", "w", stdout)) _exit(127);
+    if (!std::freopen(stdout_path.c_str(), "w", stdout)) _exit(127);
     if (!std::freopen(stderr_path.c_str(), "w", stderr)) _exit(127);
     execv(exe.c_str(), argv.data());
     _exit(127);
@@ -848,6 +919,32 @@ TEST(CliGovernance, SigtermResumeIsBitwise) {
     EXPECT_TRUE(files_equal(ref, ans)) << bk << ": resumed answer not bitwise-equal";
     remove_files();
   }
+}
+
+// A scene file above kGridMinPatches builds the grid by the size rule, and
+// --accel=octree overrides it; the answer files are the same bytes, and the
+// report names the structure each run built.
+TEST(CliGovernance, SizeRuleAndExplicitOctreeWriteTheSameAnswer) {
+  const std::string dir = testing::TempDir();
+  const std::string scene_file = dir + "cli_big_room.scene";
+  ASSERT_TRUE(save_scene(scenes::tessellated_room(10.0, 3.0, 10.0, 0.1), scene_file));
+  std::string answers[2];
+  for (const int run : {0, 1}) {
+    answers[run] = dir + "cli_big_room_" + std::to_string(run) + ".bin";
+    const std::string report = dir + "cli_big_room_" + std::to_string(run) + ".json";
+    std::vector<std::string> args = {"simulate",       scene_file, answers[run],
+                                     "--photons=2000", "--seed=7", "--report=json"};
+    if (run == 1) args.push_back("--accel=octree");
+    ASSERT_EQ(run_cli(args, -1, SIGTERM, "/dev/null", report), 0) << run;
+    std::ifstream in(report);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const std::string accel = run == 0 ? "\"accel\": \"grid\"" : "\"accel\": \"octree\"";
+    EXPECT_NE(text.find(accel), std::string::npos) << text;
+    std::remove(report.c_str());
+  }
+  EXPECT_TRUE(files_equal(answers[0], answers[1]));
+  for (const std::string& f : {scene_file, answers[0], answers[1]}) std::remove(f.c_str());
 }
 
 TEST(CliGovernance, SigintAndSigusr1AlsoPreempt) {

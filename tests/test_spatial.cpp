@@ -144,18 +144,26 @@ TEST(SpatialSim, GeometryIsActuallyDistributed) {
 // holds every patch, so its index is the scene's own, node for node (octree
 // nodes or grid cells).
 TEST(SpatialSim, RegionIndexesFollowTheScenesStructure) {
-  for (const AccelKind kind : accel_kinds()) {
-    Scene s = scenes::cornell_box();
-    s.set_accel(kind);
-    s.build();
+  const auto expect_region_follows = [](const Scene& s) {
     RunConfig cfg;
     cfg.photons = 500;
     cfg.workers = 1;
     const RunResult r = run_spatial(s, cfg);
     ASSERT_EQ(r.ranks.size(), 1u);
-    EXPECT_EQ(r.ranks[0].local_patches, s.patch_count()) << accel_kind_name(kind);
-    EXPECT_EQ(r.ranks[0].local_nodes, s.accel().node_count()) << accel_kind_name(kind);
+    const char* kind = accel_kind_name(s.accel_kind());
+    EXPECT_EQ(r.ranks[0].local_patches, s.patch_count()) << kind;
+    EXPECT_EQ(r.ranks[0].local_nodes, s.accel().node_count()) << kind;
+  };
+  for (const AccelKind kind : accel_kinds()) {
+    Scene s = scenes::cornell_box();
+    s.set_accel(kind);
+    s.build();
+    expect_region_follows(s);
   }
+  // Picked by the size rule, not pinned: a room above kGridMinPatches.
+  const Scene room = scenes::tessellated_room(10.0, 3.0, 10.0, 0.1);
+  ASSERT_EQ(room.accel_kind(), AccelKind::kGrid);
+  expect_region_follows(room);
 }
 
 TEST(SpatialSim, PhotonsAreRoutedBetweenRegions) {
