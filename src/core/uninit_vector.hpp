@@ -12,7 +12,7 @@
 // trim threshold to twice that), after which freed heap memory stays
 // resident, or a later free trims the heap and the next allocations fault
 // every page back in. A block mapped here never moves malloc's thresholds.
-// Sanitizer builds keep every block on malloc, so AddressSanitizer still
+// ASan builds keep every block on malloc, so AddressSanitizer still
 // bounds-checks the arrays.
 #pragma once
 

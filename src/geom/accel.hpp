@@ -158,15 +158,21 @@ int build_width(const AccelBuildParams& params, std::size_t items);
 
 // The structure a scene of `patches` patches builds unless Scene::set_accel
 // chose one: the grid at or above kGridMinPatches, the octree below. The
-// constant sits at the build-time crossover of bench_accel's size sweep on
-// 10 x 3 x 10 m tessellated rooms (BENCH_accel.json, "sweep"; medians of 5
-// alternating runs at the default width, 4 cores): the octree built faster
-// up to 26,391 patches (7.5 against 8.0 ms) and the grid from 29,071 on
-// (6.2 against 7.5 ms; 10.2 against 16.7 ms at 128,001). The octree's index
-// is the smaller one up to about 63k patches. Photons/s does not move the
-// line: on the hollow rooms the two trace within noise of each other at
-// every size, and on cluttered scenes (the lab, the harpsichord room, the
-// office) the grid leads at every size.
+// line lies above the bundled scenes (the lab has 2,000 patches): with the
+// grid on every scene, cornell-dist's setup_s rose from 8 to 18 us and
+// service-mix's peak RSS by 16%, past their bounds. It lies below the
+// ~90k-patch benchmark office, which the grid traces ~1.7x faster. Between
+// the two it sits in the build-time crossover of bench_accel's size sweep
+// on 10 x 3 x 10 m tessellated rooms (BENCH_accel.json, "sweep"; medians of
+// 5 alternating runs at the default width, 4 cores). The crossover is noisy
+// from 14k to 29k patches: the grid built faster at 22,079 (5.3 against
+// 5.6 ms), the octree at 24,187 and 26,391 (7.5 against 8.0 ms), and the
+// grid at every room from 29,071 up (6.2 against 7.5 ms; 10.2 against 16.7
+// ms at 128,001). The octree's index is the smaller one up to about 64k
+// patches. Photons/s does not draw the line: the grid led by 14-21% on the
+// rooms of up to 14,339 patches and on every cluttered scene (the lab, the
+// harpsichord room, the office), and was within about 10% of the octree on
+// the bigger rooms.
 inline constexpr std::size_t kGridMinPatches = 28000;
 AccelKind default_accel_kind(std::size_t patches);
 

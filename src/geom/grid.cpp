@@ -140,40 +140,47 @@ void HashGrid::build(std::span<const Patch> patches, const AccelBuildParams& par
   // within the cell, and one over the cells gives coarse_off; each chunk then
   // scatters its patches in ascending order from coarse_off + its offset. So
   // every cell's list is ascending by patch id, as one serial pass leaves it,
-  // at any width.
-  constexpr std::size_t kPatchChunk = 16384;
+  // at any width. Chunks hold at least kMinPatchChunk patches and number at
+  // most kMaxPatchChunks, so `at` never outgrows kMaxPatchChunks * nc.
+  constexpr std::size_t kMinPatchChunk = 16384;
+  constexpr std::size_t kMaxPatchChunks = 64;
   constexpr std::size_t kCellBlock = 8192;
-  const std::size_t chunks = chunk_count(n, kPatchChunk);
+  const std::size_t patch_chunk = std::max(kMinPatchChunk, chunk_count(n, kMaxPatchChunks));
+  const std::size_t chunks = chunk_count(n, patch_chunk);
   // at[k * nc + c]: chunk k's references in cell c, then its offset there.
   UninitVector<std::uint32_t> at(chunks * nc);
   run_build_tasks(chunks, width, [&](std::size_t k) {
     std::uint32_t* count = at.data() + k * nc;
     std::fill(count, count + nc, 0u);
-    const std::size_t end = std::min(n, (k + 1) * kPatchChunk);
-    for (std::size_t pid = k * kPatchChunk; pid < end; ++pid) {
+    const std::size_t end = std::min(n, (k + 1) * patch_chunk);
+    for (std::size_t pid = k * patch_chunk; pid < end; ++pid) {
       coarse_range(pid);
       for_each_cell(pid, [&](std::size_t c) { ++count[c]; });
     }
   });
-  std::vector<std::uint32_t> coarse_off(nc + 1);
+  // Per block of cells, the chunks' rows are walked one after another, so
+  // each pass reads a contiguous slice of `at` (a walk down one cell's
+  // column would touch a new page per chunk).
+  std::vector<std::uint32_t> coarse_off(nc + 1, 0);
   run_build_tasks(chunk_count(nc, kCellBlock), width, [&](std::size_t b) {
-    const std::size_t end = std::min(nc, (b + 1) * kCellBlock);
-    for (std::size_t c = b * kCellBlock; c < end; ++c) {
-      std::uint32_t total = 0;
-      for (std::size_t k = 0; k < chunks; ++k) {
-        const std::uint32_t count = at[k * nc + c];
-        at[k * nc + c] = total;
-        total += count;
+    const std::size_t begin = b * kCellBlock;
+    const std::size_t end = std::min(nc, begin + kCellBlock);
+    std::uint32_t* total = coarse_off.data() + 1;
+    for (std::size_t k = 0; k < chunks; ++k) {
+      std::uint32_t* row = at.data() + k * nc;
+      for (std::size_t c = begin; c < end; ++c) {
+        const std::uint32_t count = row[c];
+        row[c] = total[c];
+        total[c] += count;
       }
-      coarse_off[c + 1] = total;
     }
   });
   for (std::size_t c = 0; c < nc; ++c) coarse_off[c + 1] += coarse_off[c];
   UninitVector<std::int32_t> coarse_refs(coarse_off[nc]);
   run_build_tasks(chunks, width, [&](std::size_t k) {
     std::uint32_t* offset = at.data() + k * nc;
-    const std::size_t end = std::min(n, (k + 1) * kPatchChunk);
-    for (std::size_t pid = k * kPatchChunk; pid < end; ++pid) {
+    const std::size_t end = std::min(n, (k + 1) * patch_chunk);
+    for (std::size_t pid = k * patch_chunk; pid < end; ++pid) {
       for_each_cell(pid, [&](std::size_t c) {
         coarse_refs[coarse_off[c] + offset[c]++] = static_cast<std::int32_t>(pid);
       });

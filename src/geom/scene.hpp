@@ -109,7 +109,9 @@ class Scene {
 
  private:
   std::string name_ = "scene";
-  UninitVector<Patch> patches_;  // mapped when large, like the index
+  // Mapped when large, like the index, so freeing a big scene never trims
+  // malloc's heap under the next scene's load (core/uninit_vector.hpp).
+  UninitVector<Patch> patches_;
   std::vector<Material> materials_;
   std::vector<Luminaire> luminaires_;
   // Never null: an empty octree until build() or set_accel() replaces it.
